@@ -90,7 +90,7 @@ void Report() {
 
 /// Measures steady-state Algorithm 1 throughput (amortized through an
 /// Evaluator: cached plan, reused relation buffers) per runtime storage
-/// backend and records flat-vs-columnar A/B rows in BENCH_algorithm1.json
+/// backend and records per-backend rows in BENCH_algorithm1.json
 /// so later PRs have a perf trajectory to compare against. Two measures
 /// per (size, backend):
 ///   * evals_per_sec — full evaluation: base-relation annotation + rule
@@ -184,10 +184,10 @@ void EmitThroughputJson() {
 }
 
 /// Intra-query thread scaling: replay-only throughput of the single
-/// biggest instance (|D| ≈ 300k) per backend × thread count — the
-/// threads×backend rows the parallel Rule 1/Rule 2 fan-out
-/// (core/parallel.h) targets. threads=1 is the bit-identical serial
-/// engine; shard-parallel runs are deterministic for any thread count.
+/// biggest instance (|D| ≈ 300k) from columnar bases per thread count —
+/// the rows the parallel Rule 1/Rule 2 fan-out (core/parallel.h)
+/// targets. threads=1 is the bit-identical serial engine; shard-parallel
+/// runs are deterministic for any thread count.
 /// Note: scaling only shows on hosts with that many physical cores
 /// (hardware_concurrency is recorded on every row).
 void EmitThreadScalingRows(bench::JsonReport* report,
@@ -201,31 +201,30 @@ void EmitThreadScalingRows(bench::JsonReport* report,
 
   std::printf("  intra-query thread scaling (|D| = %zu, hw threads=%.0f):\n",
               db.NumFacts(), hw);
-  for (StorageKind kind : {StorageKind::kFlat, StorageKind::kColumnar}) {
-    const AnnotationPool<uint64_t> pool =
-        AnnotateForQuerySet<uint64_t>({&q}, db, annotate, plus, kind);
-    const auto bases = ResolveBases<uint64_t>(q, pool);
-    for (size_t threads : {1, 2, 4, 8}) {
-      Evaluator::Options options;
-      options.storage = kind;
-      options.intra_query_threads = threads;
-      Evaluator evaluator(options);
-      auto plan = evaluator.GetPlan(q);
-      const double replays_per_sec = bench::MeasureRate([&] {
-        benchmark::DoNotOptimize(
-            evaluator.ReplayPlan(**plan, monoid, q, bases));
-      });
-      std::printf("    %-9s threads=%zu  %9.0f replays/sec\n",
-                  StorageKindName(kind), threads, replays_per_sec);
-      report->AddRow(
-          bench::JsonReport::ThreadedRow(
-              "paper_query/" + std::to_string(db.NumFacts()) + "/replay",
-              kind, threads),
-          {{"num_facts", static_cast<double>(db.NumFacts())},
-           {"threads", static_cast<double>(threads)},
-           {"hardware_threads", hw},
-           {"replays_per_sec", replays_per_sec}});
-    }
+  const StorageKind kind = StorageKind::kColumnar;
+  const AnnotationPool<uint64_t> pool =
+      AnnotateForQuerySet<uint64_t>({&q}, db, annotate, plus, kind);
+  const auto bases = ResolveBases<uint64_t>(q, pool);
+  for (size_t threads : {1, 2, 4, 8}) {
+    Evaluator::Options options;
+    options.storage = kind;
+    options.intra_query_threads = threads;
+    Evaluator evaluator(options);
+    auto plan = evaluator.GetPlan(q);
+    const double replays_per_sec = bench::MeasureRate([&] {
+      benchmark::DoNotOptimize(
+          evaluator.ReplayPlan(**plan, monoid, q, bases));
+    });
+    std::printf("    %-9s threads=%zu  %9.0f replays/sec\n",
+                StorageKindName(kind), threads, replays_per_sec);
+    report->AddRow(
+        bench::JsonReport::ThreadedRow(
+            "paper_query/" + std::to_string(db.NumFacts()) + "/replay",
+            kind, threads),
+        {{"num_facts", static_cast<double>(db.NumFacts())},
+         {"threads", static_cast<double>(threads)},
+         {"hardware_threads", hw},
+         {"replays_per_sec", replays_per_sec}});
   }
 }
 
@@ -244,24 +243,16 @@ void EmitAdaptiveRows(bench::JsonReport* report, const ConjunctiveQuery& q,
   const auto plus = [](uint64_t a, uint64_t b) { return a + b; };
   const size_t hw = std::max(1u, std::thread::hardware_concurrency());
 
-  struct Fixed {
-    StorageKind kind;
-    size_t threads;
-  };
-  std::vector<Fixed> grid = {{StorageKind::kColumnar, 1},
-                             {StorageKind::kFlat, 1}};
+  // Fixed thread counts, all on columnar bases.
+  std::vector<size_t> grid = {1};
   if (hw > 1) {
-    grid.push_back({StorageKind::kColumnar, std::min<size_t>(hw, 8)});
-    grid.push_back({StorageKind::kSharded, std::min<size_t>(hw, 8)});
+    grid.push_back(std::min<size_t>(hw, 8));
   }
 
+  const AnnotationPool<uint64_t> pool = AnnotateForQuerySet<uint64_t>(
+      {&q}, db, annotate, plus, StorageKind::kColumnar);
+  const auto bases = ResolveBases<uint64_t>(q, pool);
   const auto measure = [&](const Evaluator::Options& options) {
-    // The annotation pool adopts the evaluator's backend so the fixed
-    // configs are measured at their own best, not through a foreign
-    // base layout.
-    const AnnotationPool<uint64_t> pool = AnnotateForQuerySet<uint64_t>(
-        {&q}, db, annotate, plus, options.storage);
-    const auto bases = ResolveBases<uint64_t>(q, pool);
     Evaluator evaluator(options);
     auto plan = evaluator.GetPlan(q);
     return bench::MeasureRate([&] {
@@ -273,18 +264,16 @@ void EmitAdaptiveRows(bench::JsonReport* report, const ConjunctiveQuery& q,
   std::printf("  adaptive vs hand-tuned fixed configs (|D| = %zu):\n",
               db.NumFacts());
   double best_fixed = 0.0;
-  for (const Fixed& fixed : grid) {
+  for (size_t threads : grid) {
     Evaluator::Options options;
-    options.storage = fixed.kind;
-    options.intra_query_threads = fixed.threads;
+    options.intra_query_threads = threads;
     const double rate = measure(options);
-    std::printf("    fixed %-9s t%zu %9.1f replays/sec\n",
-                StorageKindName(fixed.kind), fixed.threads, rate);
+    std::printf("    fixed columnar  t%zu %9.1f replays/sec\n", threads,
+                rate);
     best_fixed = std::max(best_fixed, rate);
   }
 
   Evaluator::Options adaptive_options;
-  adaptive_options.storage = StorageKind::kColumnar;
   adaptive_options.adaptive = true;
   const double adaptive_rate = measure(adaptive_options);
   const double vs_best =

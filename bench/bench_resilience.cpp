@@ -17,7 +17,7 @@ namespace {
 
 /// Perf-trajectory rows (BENCH_resilience.json): steady-state resilience
 /// solves per second through an Evaluator, one row per storage backend per
-/// scale, so the flat-vs-columnar A/B covers the (ℕ∪{∞}, +, min)
+/// scale, so the cross-backend A/B covers the (ℕ∪{∞}, +, min)
 /// instantiation too.
 void EmitThroughputJson() {
   bench::JsonReport report("resilience", "BENCH_resilience.json");

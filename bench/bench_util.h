@@ -117,9 +117,8 @@ class JsonReport {
     return true;
   }
 
-  /// The compile-time *default* storage backend of AnnotatedRelation,
-  /// recorded so runs under a non-standard build policy are
-  /// self-describing.
+  /// The default storage backend of AnnotatedRelation, recorded as the
+  /// document's top-level "storage" field.
   static const char* StorageBackend() {
     return StorageKindName(kDefaultStorageKind);
   }

@@ -19,32 +19,8 @@ constexpr size_t kMinFeedbackRows = 64;
 
 }  // namespace
 
-double CostModel::SerialNsPerRow(StorageKind kind) const {
-  // Anchored on bench/baselines/BENCH_algorithm1.json (serial
-  // replays_per_sec x num_facts at |D| = 300k):
-  //   columnar ~12.2M rows/s -> ~82 ns/row,
-  //   flat     ~4.2M  rows/s -> ~240 ns/row,
-  //   sharded  ~4.1M  rows/s -> ~245 ns/row,
-  //   baseline ~1.0M  rows/s -> ~970 ns/row.
-  // sharded_columnar sits between columnar and sharded: columnar cells,
-  // but hash-routed across 8 stores, so worse locality than one native.
-  switch (kind) {
-    case StorageKind::kBaseline:
-      return 970.0;
-    case StorageKind::kFlat:
-      return 240.0;
-    case StorageKind::kColumnar:
-      return 82.0;
-    case StorageKind::kSharded:
-      return 245.0;
-    case StorageKind::kShardedColumnar:
-      return 110.0;
-  }
-  return 240.0;
-}
-
-double CostModel::SerialStepNs(StorageKind kind, size_t rows) const {
-  return static_cast<double>(rows) * SerialNsPerRow(kind);
+double CostModel::SerialStepNs(size_t rows) const {
+  return static_cast<double>(rows) * SerialNsPerRow();
 }
 
 double CostModel::ParallelStepNs(double effective_threads,
@@ -72,8 +48,6 @@ StepChoice AdaptiveController::Choose(const EliminationPlan* plan,
                                       size_t step_index,
                                       const RelationStats& input) const {
   StepChoice choice;
-  choice.serial_storage = model_.BestSerialStorage();
-  choice.parallel_storage = StorageKind::kShardedColumnar;
 
   // Per-step measured feedback, when this plan step has run before. The
   // recorded values are *wall-clock* ns/row — the parallel channel
@@ -92,11 +66,11 @@ StepChoice AdaptiveController::Choose(const EliminationPlan* plan,
   choice.predicted_serial_ns =
       measured_serial > 0.0
           ? static_cast<double>(input.rows) * measured_serial
-          : model_.SerialStepNs(choice.serial_storage, input.rows);
+          : model_.SerialStepNs(input.rows);
 
   const size_t budget =
       std::min({hardware_threads_, max_threads_,
-                ShardedStore<char>::kNumShards});
+                ShardedColumnarStore<char>::kNumShards});
   if (budget <= 1 || input.rows < min_parallel_rows_) {
     // No fan-out available, or the step is too small to amortize even a
     // single fused latch — the parallel estimate is moot.
@@ -110,7 +84,7 @@ StepChoice AdaptiveController::Choose(const EliminationPlan* plan,
   const double skew = std::max(1.0, input.skew);
   const double effective = std::min(
       static_cast<double>(budget),
-      static_cast<double>(ShardedStore<char>::kNumShards) / skew);
+      static_cast<double>(ShardedColumnarStore<char>::kNumShards) / skew);
   choice.predicted_parallel_ns =
       measured_parallel > 0.0
           ? static_cast<double>(input.rows) * measured_parallel

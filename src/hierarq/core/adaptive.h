@@ -3,11 +3,11 @@
 
 /// \file adaptive.h
 /// \brief Adaptive per-step execution: stats + a cost model pick each
-/// elimination step's backend, thread count, and parallel cutoff.
+/// elimination step's thread count and parallel cutoff.
 ///
-/// The engine spans a real configuration space — five storage backends ×
-/// thread count × `parallel_min_rows` × SIMD tier — and the fastest point
-/// depends on |D|, arity, and skew, with crossover points (cf. the
+/// The engine spans a real configuration space — thread count ×
+/// `parallel_min_rows` × SIMD tier — and the fastest point depends on
+/// |D|, arity, and skew, with crossover points (cf. the
 /// trade-offs analysis of Kara/Nikolic/Olteanu/Zhang, arXiv 1907.01988):
 /// a 300k-row step wants the sharded scatter on an 8-core host but the
 /// serial columnar native on one core, and a 500-row step wants neither
@@ -20,10 +20,10 @@
 ///      max/mean shard fill, 1.0 = perfectly uniform. Skew discounts the
 ///      parallel speedup estimate: one overfull shard serializes the
 ///      scatter phase no matter how many workers wait on the rest.
-///   2. **A calibrated cost model** (`CostModel`): per-row serial costs
-///      per backend and the parallel per-row + per-step-latch constants,
-///      anchored on the stored `BENCH_algorithm1.json` threads × backend
-///      matrix (bench/baselines/). The constants only need to rank
+///   2. **A calibrated cost model** (`CostModel`): the per-row serial
+///      columnar cost and the parallel per-row + per-step-latch constants,
+///      anchored on the stored `BENCH_algorithm1.json` thread-scaling rows
+///      (bench/baselines/). The constants only need to rank
 ///      configurations and place the serial/parallel crossover; they are
 ///      refined per step by (3).
 ///   3. **Measured feedback through the plan cache**: every adaptive step
@@ -66,7 +66,7 @@ struct RelationStats {
   size_t rows = 0;   ///< |supp(R)|.
   size_t arity = 0;  ///< Schema width.
   /// Shard-occupancy skew: max shard size / mean shard size when the
-  /// relation lives in a sharded flavor (>= 1.0; 1.0 = uniform), 1.0 for
+  /// relation lives in kShardedColumnar (>= 1.0; 1.0 = uniform), 1.0 for
   /// layouts without shard counts. A skewed partition caps the effective
   /// parallelism of the scatter phase at kNumShards / skew.
   double skew = 1.0;
@@ -77,85 +77,53 @@ template <typename K>
 RelationStats CollectRelationStats(const AnnotatedRelation<K>& rel) {
   RelationStats stats;
   stats.arity = rel.schema().size();
-  switch (rel.storage()) {
-    case StorageKind::kSharded: {
-      const ShardedStore<K>& store = rel.sharded_store();
-      size_t total = 0;
-      size_t largest = 0;
-      for (size_t s = 0; s < ShardedStore<K>::kNumShards; ++s) {
-        const size_t n = store.shard(s).size();
-        total += n;
-        largest = n > largest ? n : largest;
-      }
-      stats.rows = total;
-      if (total > 0) {
-        stats.skew = static_cast<double>(largest) *
-                     static_cast<double>(ShardedStore<K>::kNumShards) /
-                     static_cast<double>(total);
-      }
-      return stats;
-    }
-    case StorageKind::kShardedColumnar: {
-      const ShardedColumnarStore<K>& store = rel.sharded_columnar_store();
-      size_t total = 0;
-      size_t largest = 0;
-      for (size_t s = 0; s < ShardedColumnarStore<K>::kNumShards; ++s) {
-        const size_t n = store.shard(s).size();
-        total += n;
-        largest = n > largest ? n : largest;
-      }
-      stats.rows = total;
-      if (total > 0) {
-        stats.skew =
-            static_cast<double>(largest) *
-            static_cast<double>(ShardedColumnarStore<K>::kNumShards) /
-            static_cast<double>(total);
-      }
-      return stats;
-    }
-    case StorageKind::kBaseline:
-    case StorageKind::kFlat:
-    case StorageKind::kColumnar:
-      break;
+  if (rel.storage() != StorageKind::kShardedColumnar) {
+    stats.rows = rel.size();
+    return stats;
   }
-  stats.rows = rel.size();
+  using Sharded = ShardedColumnarStore<K>;
+  const Sharded& store = rel.sharded_columnar_store();
+  size_t largest = 0;
+  for (size_t s = 0; s < Sharded::kNumShards; ++s) {
+    const size_t n = store.shard(s).size();
+    stats.rows += n;
+    largest = n > largest ? n : largest;
+  }
+  if (stats.rows > 0) {
+    stats.skew = static_cast<double>(largest) *
+                 static_cast<double>(Sharded::kNumShards) /
+                 static_cast<double>(stats.rows);
+  }
   return stats;
 }
 
 /// The knobs one elimination step runs with, as decided by the
-/// controller.
+/// controller. Serial steps write kColumnar and parallel steps scatter
+/// into kShardedColumnar, so the only choice is whether to fan out.
 struct StepChoice {
   bool parallel = false;  ///< Shard-parallel scatter vs serial native.
   size_t threads = 1;     ///< Fan-out when parallel (capped by shards).
-  /// Result backend of a serial step.
-  StorageKind serial_storage = StorageKind::kColumnar;
-  /// Sharded flavor a parallel step scatters into.
-  StorageKind parallel_storage = StorageKind::kShardedColumnar;
   // Introspection (tests, bench rows): the model's cost estimates in ns.
   double predicted_serial_ns = 0.0;
   double predicted_parallel_ns = 0.0;
 };
 
 /// Per-row / per-step cost constants, anchored on the stored
-/// `bench/baselines/BENCH_algorithm1.json` threads × backend matrix.
-/// Absolute values matter less than ranking and crossover placement —
-/// measured feedback (AdaptiveController) refines them per plan step.
+/// `bench/baselines/BENCH_algorithm1.json` thread-scaling rows. Absolute
+/// values matter less than ranking and crossover placement — measured
+/// feedback (AdaptiveController) refines them per plan step.
 class CostModel {
  public:
-  /// Estimated serial cost of one step processing `rows` input rows into
-  /// a `kind` result.
-  double SerialStepNs(StorageKind kind, size_t rows) const;
+  /// Estimated cost of one serial columnar step over `rows` input rows.
+  double SerialStepNs(size_t rows) const;
 
   /// Estimated cost of the fused shard-parallel step: one pool latch plus
   /// the scatter at `effective_threads`-way parallelism.
   double ParallelStepNs(double effective_threads, size_t rows) const;
 
-  /// The backend serial step results default to — the fastest serial
-  /// per-row constant (columnar, per the calibration matrix).
-  StorageKind BestSerialStorage() const { return StorageKind::kColumnar; }
-
-  /// Raw per-row constants (ns), exposed for tests.
-  double SerialNsPerRow(StorageKind kind) const;
+  /// Raw per-row constants (ns), exposed for tests. The serial constant
+  /// is columnar at |D| = 300k: ~12.2M rows/s -> ~82 ns/row.
+  double SerialNsPerRow() const { return 82.0; }
   double ParallelNsPerRow() const { return 260.0; }
   double ParallelStepOverheadNs() const { return 150000.0; }
 };
@@ -173,7 +141,7 @@ class AdaptiveController {
     /// std::thread::hardware_concurrency().
     size_t hardware_threads = 0;
     /// Hard cap on per-step fan-out (the shard count binds anyway).
-    size_t max_threads = ShardedStore<char>::kNumShards;
+    size_t max_threads = ShardedColumnarStore<char>::kNumShards;
     /// Inputs below this many rows never go parallel, whatever the model
     /// says — the floor mirrors IntraQueryParallel::min_rows.
     size_t min_parallel_rows = 4096;
@@ -240,7 +208,6 @@ inline IntraQueryParallel StepParallel(const IntraQueryParallel& base,
   } else {
     par.threads = choice.threads;
     par.min_rows = 0;
-    par.parallel_storage = choice.parallel_storage;
   }
   return par;
 }
@@ -251,8 +218,8 @@ inline IntraQueryParallel StepParallel(const IntraQueryParallel& base,
 /// Rule 1/Rule 2 step collects its input stats, asks `controller` for the
 /// knobs, executes through the shared step primitives, and feeds the
 /// measured wall time back. `par` supplies the pool and acts as the
-/// ceiling on fan-out; when it has no pool every step runs serial (with
-/// the controller still choosing the serial result backend). See
+/// ceiling on fan-out; when it has no pool every step runs serial into
+/// kColumnar. See
 /// RunAlgorithm1InPlace for the relations-vector contract.
 template <TwoMonoid M>
 typename M::value_type RunAlgorithm1InPlaceAdaptive(
@@ -294,7 +261,7 @@ typename M::value_type RunAlgorithm1InPlaceAdaptive(
       choice = controller->Choose(&plan, step_index, stats);
       ProjectDropStep(source, step.drop_pos, result_vars, plus,
                       adaptive_internal::StepParallel(par, choice),
-                      choice.serial_storage, &result, &exec);
+                      StorageKind::kColumnar, &result, &exec);
       source.Clear();
     } else {
       AnnotatedRelation<K>& left = relations[step.left_atom];
@@ -310,7 +277,7 @@ typename M::value_type RunAlgorithm1InPlaceAdaptive(
       choice = controller->Choose(&plan, step_index, stats);
       JoinUnionStep(left, right, result_vars, times, monoid.Zero(),
                     adaptive_internal::StepParallel(par, choice),
-                    choice.serial_storage, &result, &exec);
+                    StorageKind::kColumnar, &result, &exec);
       left.Clear();
       right.Clear();
     }

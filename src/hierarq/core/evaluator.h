@@ -254,8 +254,8 @@ class Evaluator : public PlanProvider {
     WorkerPool* intra_pool = nullptr;
     /// Adaptive per-step execution (core/adaptive.h): stats + a cost
     /// model — refined by measured feedback keyed through the plan
-    /// cache — choose each elimination step's backend, thread count,
-    /// and serial/parallel cutoff. `storage` still governs base-atom
+    /// cache — choose each elimination step's thread count and
+    /// serial/parallel cutoff. `storage` still governs base-atom
     /// annotation; `intra_query_threads` (or, when it is 1, the detected
     /// hardware concurrency) caps the per-step fan-out.
     bool adaptive = false;
@@ -264,8 +264,8 @@ class Evaluator : public PlanProvider {
   Evaluator() = default;
 
   /// An evaluator whose scratch relations live in the given storage
-  /// backend (data/storage.h) — the runtime half of the storage policy;
-  /// `hierarq_cli --storage=...` and the bench A/B emitters land here.
+  /// backend (data/storage.h) — how the differential suites run the
+  /// baseline reference and the bench emitters pick their rows.
   explicit Evaluator(StorageKind storage) : storage_(storage) {}
 
   /// The full-options constructor; `plans` (optional, non-owning) plays

@@ -7,25 +7,23 @@
 ///
 /// Algorithm 1's per-step work partitions perfectly by key hash: the key
 /// of every Rule 1 output group and every Rule 2 output fact determines a
-/// single shard (`ShardedStore::ShardOfHash`, the hash's top bits), so a
+/// single shard (`ShardedColumnarStore::ShardOfHash`, the hash's top
+/// bits), so a
 /// step splits into `kNumShards` sub-steps that share nothing but
 /// read-only inputs. Each step runs in two phases:
 ///
 ///   1. **Hash.** Per-row output-key hashes are computed once, in
-///      parallel over contiguous row/slot ranges (columnar inputs use the
-///      SIMD batch folds of util/simd.h; map inputs fold per occupied
-///      slot). Rule 1 hashes only the surviving positions — the hash *is*
-///      the output partition key.
+///      parallel over contiguous row ranges with the SIMD batch folds of
+///      util/simd.h. Rule 1 hashes only the surviving columns — the hash
+///      *is* the output partition key.
 ///   2. **Scatter/accumulate.** One task per output shard scans the
 ///      input(s), keeps the rows whose hash routes to its shard, and
 ///      accumulates them into that shard's private table — lock-free,
 ///      since no other task ever touches the shard. Rule 2 tasks
 ///      additionally probe the *whole* other side read-only with the
-///      precomputed hashes. The output shards are FlatMaps
-///      (`StorageKind::kSharded`) or ColumnarStores
-///      (`StorageKind::kShardedColumnar`, which keeps the SIMD kernels in
-///      play for downstream steps) — `IntraQueryParallel::parallel_storage`
-///      picks the flavor.
+///      precomputed hashes. The output shards are ColumnarStores
+///      (`StorageKind::kShardedColumnar`), which keeps the SIMD kernels in
+///      play for downstream steps.
 ///
 /// Both phases run inside **one** `WorkerPool::ParallelFor` per step: the
 /// hash work is cut into chunk closures, every shard task claims and runs
@@ -93,14 +91,11 @@ struct IntraQueryParallel {
   /// driven from outside the pool (no task of `pool` may re-enter).
   WorkerPool* pool = nullptr;
   /// Advisory parallelism: <= 1 disables. Per-step fan-out is capped by
-  /// `ShardedStore::kNumShards` regardless.
+  /// `ShardedColumnarStore::kNumShards` regardless.
   size_t threads = 1;
   /// Steps whose input support is below this run serially — the fan-out
   /// latch and task overhead cost more than they save on small tables.
   size_t min_rows = 4096;
-  /// Which sharded flavor parallel steps scatter into: kSharded (FlatMap
-  /// shards) or kShardedColumnar (ColumnarStore shards, SIMD kernels).
-  StorageKind parallel_storage = StorageKind::kSharded;
 
   bool enabled() const { return pool != nullptr && threads > 1; }
 };
@@ -135,14 +130,8 @@ template <typename K>
 const K* FindWithHash(const AnnotatedRelation<K>& rel, uint64_t hash,
                       const Tuple& key) {
   switch (rel.storage()) {
-    case StorageKind::kFlat:
-      return rel.flat_store().FindHashed(hash, key);
     case StorageKind::kColumnar:
       return rel.columnar_store().FindWithHash(hash, key);
-    case StorageKind::kSharded: {
-      const auto& store = rel.sharded_store();
-      return store.shard(store.ShardOfHash(hash)).FindHashed(hash, key);
-    }
     case StorageKind::kShardedColumnar: {
       const auto& store = rel.sharded_columnar_store();
       return store.shard(store.ShardOfHash(hash)).FindWithHash(hash, key);
@@ -156,10 +145,9 @@ const K* FindWithHash(const AnnotatedRelation<K>& rel, uint64_t hash,
 
 /// Visits every fact of `rel` as (hash, key, value) where `hash` is
 /// looked up in the side arrays `PrecomputeHashes` filled — the shard
-/// tasks' filtered rescan. Enumeration order is fixed per backend
-/// (columnar rows ascending; flat slots ascending; sharded shards then
-/// slots ascending), which is what makes shard contents deterministic.
-/// `key_scratch` is reused across rows for the columnar layout.
+/// tasks' filtered rescan. Enumeration order is fixed (rows ascending;
+/// for sharded inputs, shards ascending then rows), which is what makes
+/// shard contents deterministic. `key_scratch` is reused across rows.
 template <typename K, typename Fn>
 void ScanWithHashes(const AnnotatedRelation<K>& rel,
                     const std::vector<std::vector<uint64_t>>& hashes,
@@ -177,29 +165,6 @@ void ScanWithHashes(const AnnotatedRelation<K>& rel,
         }
         fn(row_hashes[r], static_cast<const Tuple&>(*key_scratch),
            store.row_value(static_cast<uint32_t>(r)));
-      }
-      return;
-    }
-    case StorageKind::kFlat: {
-      const auto& store = rel.flat_store();
-      const std::vector<uint64_t>& slot_hashes = hashes.front();
-      store.ForEachSlotInRange(
-          0, store.capacity(), [&](size_t slot, const Tuple& key,
-                                   const K& value) {
-            fn(slot_hashes[slot], key, value);
-          });
-      return;
-    }
-    case StorageKind::kSharded: {
-      const ShardedStore<K>& store = rel.sharded_store();
-      for (size_t s = 0; s < ShardedStore<K>::kNumShards; ++s) {
-        const auto& shard = store.shard(s);
-        const std::vector<uint64_t>& slot_hashes = hashes[s];
-        shard.ForEachSlotInRange(
-            0, shard.capacity(), [&](size_t slot, const Tuple& key,
-                                     const K& value) {
-              fn(slot_hashes[slot], key, value);
-            });
       }
       return;
     }
@@ -227,16 +192,15 @@ void ScanWithHashes(const AnnotatedRelation<K>& rel,
   HIERARQ_CHECK(false) << "baseline relations take the serial path";
 }
 
-/// Pre-sizes `*hashes` (one per-row/per-slot array per enumeration
-/// segment of `rel`: one for columnar/flat, one per shard for the sharded
-/// flavors) and appends closures to `*chunks`, each of which fills one
-/// contiguous piece, hashing only the positions `keep(position)` admits
-/// in ascending position order — Rule 1 passes the survivor filter,
-/// Rule 2 keeps everything. The closures are independent and write
-/// disjoint fixed locations, so any task may run any chunk; they are
-/// executed inside the step's single fused ParallelFor (see
-/// RunChunksThenShards). `tasks` controls the chunk granularity of the
-/// contiguous layouts.
+/// Pre-sizes `*hashes` (one per-row array per enumeration segment of
+/// `rel`: one for columnar, one per shard for sharded columnar) and
+/// appends closures to `*chunks`, each of which fills one contiguous
+/// piece, hashing only the columns `keep(position)` admits in ascending
+/// position order — Rule 1 passes the survivor filter, Rule 2 keeps
+/// everything. The closures are independent and write disjoint fixed
+/// locations, so any task may run any chunk; they are executed inside the
+/// step's single fused ParallelFor (see RunChunksThenShards). `tasks`
+/// controls the chunk granularity of the unsharded layout.
 template <typename K, typename Keep>
 void AppendHashChunks(const AnnotatedRelation<K>& rel, Keep keep,
                       size_t tasks,
@@ -269,53 +233,6 @@ void AppendHashChunks(const AnnotatedRelation<K>& rel, Keep keep,
       }
       return;
     }
-    case StorageKind::kFlat: {
-      const auto& store = rel.flat_store();
-      hashes->resize(1);
-      std::vector<uint64_t>& slot_hashes = (*hashes)[0];
-      slot_hashes.resize(store.capacity());
-      for (size_t i = 0; i < tasks; ++i) {
-        chunks->push_back([&store, &slot_hashes, keep, tasks, i] {
-          const auto [lo, hi] = Slice(store.capacity(), tasks, i);
-          store.ForEachSlotInRange(
-              lo, hi, [&](size_t slot, const Tuple& key, const K&) {
-                uint64_t h = kHashRangeSeed;
-                for (size_t c = 0; c < key.size(); ++c) {
-                  if (keep(c)) {
-                    h = HashCombine(h, static_cast<uint64_t>(key[c]));
-                  }
-                }
-                slot_hashes[slot] = h;
-              });
-        });
-      }
-      return;
-    }
-    case StorageKind::kSharded: {
-      const ShardedStore<K>& store = rel.sharded_store();
-      hashes->resize(ShardedStore<K>::kNumShards);
-      for (size_t s = 0; s < ShardedStore<K>::kNumShards; ++s) {
-        // One chunk per input shard; the closure owns its whole array, so
-        // it sizes the array itself.
-        std::vector<uint64_t>& slot_hashes = (*hashes)[s];
-        chunks->push_back([&store, &slot_hashes, keep, s] {
-          const auto& shard = store.shard(s);
-          slot_hashes.resize(shard.capacity());
-          shard.ForEachSlotInRange(
-              0, shard.capacity(),
-              [&](size_t slot, const Tuple& key, const K&) {
-                uint64_t h = kHashRangeSeed;
-                for (size_t c = 0; c < key.size(); ++c) {
-                  if (keep(c)) {
-                    h = HashCombine(h, static_cast<uint64_t>(key[c]));
-                  }
-                }
-                slot_hashes[slot] = h;
-              });
-        });
-      }
-      return;
-    }
     case StorageKind::kShardedColumnar: {
       const ShardedColumnarStore<K>& store = rel.sharded_columnar_store();
       std::vector<size_t> cols;
@@ -327,6 +244,8 @@ void AppendHashChunks(const AnnotatedRelation<K>& rel, Keep keep,
       }
       hashes->resize(ShardedColumnarStore<K>::kNumShards);
       for (size_t s = 0; s < ShardedColumnarStore<K>::kNumShards; ++s) {
+        // One chunk per input shard; the closure owns its whole array, so
+        // it sizes the array itself.
         std::vector<uint64_t>& row_hashes = (*hashes)[s];
         chunks->push_back([&store, &row_hashes, cols, s] {
           const ColumnarStore<K>& shard = store.shard(s);
@@ -378,54 +297,19 @@ inline void RunChunksThenShards(
 
 }  // namespace parallel_internal
 
-namespace parallel_internal {
-
-/// The scatter phase of the fused Rule 1, generic over the output sharded
-/// flavor (`Sharded` is ShardedStore<K> or ShardedColumnarStore<K> —
-/// both expose shard(j) stores with MergeHashed and the identical
-/// ShardOfHash routing).
-template <typename Sharded, typename K, typename Plus>
-void FusedProjectScatter(const AnnotatedRelation<K>& src, size_t drop_pos,
-                         Plus plus, const IntraQueryParallel& par,
-                         const std::vector<std::vector<uint64_t>>& hashes,
-                         const std::vector<std::function<void()>>& chunks,
-                         Sharded* sharded) {
-  RunChunksThenShards(par.pool, Sharded::kNumShards, chunks, [&](size_t j) {
-    typename Sharded::Shard& mine = sharded->shard(j);
-    Tuple scan_scratch;
-    Tuple projected;
-    ScanWithHashes(src, hashes, &scan_scratch,
-                   [&](uint64_t hash, const Tuple& key, const K& value) {
-                     if (Sharded::ShardOfHash(hash) != j) {
-                       return;
-                     }
-                     projected.clear();
-                     for (size_t c = 0; c < key.size(); ++c) {
-                       if (c != drop_pos) {
-                         projected.push_back(key[c]);
-                       }
-                     }
-                     mine.MergeHashed(hash, projected, value, plus);
-                   });
-  });
-}
-
-}  // namespace parallel_internal
-
 /// Rule 1, hash-sharded: ⊕-projects schema position `drop_pos` out of
 /// `src` into `out`, which the caller has Reset to the surviving schema
-/// in a sharded flavor (kSharded or kShardedColumnar). One fused
-/// ParallelFor computes the surviving-key hashes and scatters — each
-/// output shard task accumulates the rows whose hash it owns.
-/// Preconditions: `par.enabled()`, `src` not baseline, `out` sharded.
+/// in kShardedColumnar. One fused ParallelFor computes the surviving-key
+/// hashes and scatters — each output shard task accumulates the rows
+/// whose hash it owns. Preconditions: `par.enabled()`, `src` not
+/// baseline.
 template <typename K, typename Plus>
 void ParallelProjectDropInto(const AnnotatedRelation<K>& src,
                              size_t drop_pos, Plus plus,
                              const IntraQueryParallel& par,
                              AnnotatedRelation<K>* out) {
+  using Sharded = ShardedColumnarStore<K>;
   HIERARQ_CHECK(par.enabled());
-  HIERARQ_CHECK(out->storage() == StorageKind::kSharded ||
-                out->storage() == StorageKind::kShardedColumnar);
   HIERARQ_CHECK_LT(drop_pos, src.schema().size());
   HIERARQ_CHECK_EQ(out->schema().size() + 1, src.schema().size());
 
@@ -436,60 +320,28 @@ void ParallelProjectDropInto(const AnnotatedRelation<K>& src,
       &hashes, &chunks);
 
   out->Reserve(src.size());
-  if (out->storage() == StorageKind::kSharded) {
-    parallel_internal::FusedProjectScatter(src, drop_pos, plus, par, hashes,
-                                           chunks,
-                                           &out->mutable_sharded_store());
-  } else {
-    parallel_internal::FusedProjectScatter(
-        src, drop_pos, plus, par, hashes, chunks,
-        &out->mutable_sharded_columnar_store());
-  }
+  Sharded& sharded = out->mutable_sharded_columnar_store();
+  parallel_internal::RunChunksThenShards(
+      par.pool, Sharded::kNumShards, chunks, [&](size_t j) {
+        typename Sharded::Shard& mine = sharded.shard(j);
+        Tuple scan_scratch;
+        Tuple projected;
+        parallel_internal::ScanWithHashes(
+            src, hashes, &scan_scratch,
+            [&](uint64_t hash, const Tuple& key, const K& value) {
+              if (Sharded::ShardOfHash(hash) != j) {
+                return;
+              }
+              projected.clear();
+              for (size_t c = 0; c < key.size(); ++c) {
+                if (c != drop_pos) {
+                  projected.push_back(key[c]);
+                }
+              }
+              mine.MergeHashed(hash, projected, value, plus);
+            });
+      });
 }
-
-namespace parallel_internal {
-
-/// The scatter phase of the fused Rule 2, generic over the output sharded
-/// flavor like FusedProjectScatter.
-template <typename Sharded, typename K, typename Times>
-void FusedJoinScatter(const AnnotatedRelation<K>& left,
-                      const AnnotatedRelation<K>& right, Times times,
-                      const K& zero, const IntraQueryParallel& par,
-                      const std::vector<std::vector<uint64_t>>& left_hashes,
-                      const std::vector<std::vector<uint64_t>>& right_hashes,
-                      const std::vector<std::function<void()>>& chunks,
-                      Sharded* sharded) {
-  RunChunksThenShards(par.pool, Sharded::kNumShards, chunks, [&](size_t j) {
-    typename Sharded::Shard& mine = sharded->shard(j);
-    Tuple scan_scratch;
-    // Left pass: every left key lands in the result, joined against the
-    // right annotation or zero.
-    ScanWithHashes(left, left_hashes, &scan_scratch,
-                   [&](uint64_t hash, const Tuple& key, const K& value) {
-                     if (Sharded::ShardOfHash(hash) != j) {
-                       return;
-                     }
-                     const K* other = FindWithHash(right, hash, key);
-                     auto [slot, inserted] = mine.FindOrInsertHashed(hash, key);
-                     HIERARQ_CHECK(inserted);  // Left keys are unique.
-                     *slot = times(value, other != nullptr ? *other : zero);
-                   });
-    // Right pass: only keys absent from the left still need a result
-    // entry; shared keys were finalized above.
-    ScanWithHashes(right, right_hashes, &scan_scratch,
-                   [&](uint64_t hash, const Tuple& key, const K& value) {
-                     if (Sharded::ShardOfHash(hash) != j) {
-                       return;
-                     }
-                     auto [slot, inserted] = mine.FindOrInsertHashed(hash, key);
-                     if (inserted) {
-                       *slot = times(zero, value);
-                     }
-                   });
-  });
-}
-
-}  // namespace parallel_internal
 
 /// Rule 2, hash-sharded: out(x) = left(x) ⊗ right(x) over the union of
 /// supports. One fused ParallelFor hashes both sides and scatters: each
@@ -498,15 +350,14 @@ void FusedJoinScatter(const AnnotatedRelation<K>& left,
 /// (one-sided facts multiply with `zero`, exactly like the serial native;
 /// only absent-absent pairs are skipped — Lemma 6.6). Preconditions:
 /// `par.enabled()`, neither input baseline, `out` Reset to the common
-/// schema in a sharded flavor (kSharded or kShardedColumnar).
+/// schema in kShardedColumnar.
 template <typename K, typename Times>
 void ParallelJoinUnionInto(const AnnotatedRelation<K>& left,
                            const AnnotatedRelation<K>& right, Times times,
                            const K& zero, const IntraQueryParallel& par,
                            AnnotatedRelation<K>* out) {
+  using Sharded = ShardedColumnarStore<K>;
   HIERARQ_CHECK(par.enabled());
-  HIERARQ_CHECK(out->storage() == StorageKind::kSharded ||
-                out->storage() == StorageKind::kShardedColumnar);
   HIERARQ_CHECK(left.schema() == right.schema())
       << "Rule 2 requires equal schemas";
   HIERARQ_CHECK(out->schema() == left.schema());
@@ -521,15 +372,39 @@ void ParallelJoinUnionInto(const AnnotatedRelation<K>& left,
                                       &right_hashes, &chunks);
 
   out->Reserve(left.size() + right.size());  // Lemma 6.6 bound.
-  if (out->storage() == StorageKind::kSharded) {
-    parallel_internal::FusedJoinScatter(left, right, times, zero, par,
-                                        left_hashes, right_hashes, chunks,
-                                        &out->mutable_sharded_store());
-  } else {
-    parallel_internal::FusedJoinScatter(
-        left, right, times, zero, par, left_hashes, right_hashes, chunks,
-        &out->mutable_sharded_columnar_store());
-  }
+  Sharded& sharded = out->mutable_sharded_columnar_store();
+  parallel_internal::RunChunksThenShards(
+      par.pool, Sharded::kNumShards, chunks, [&](size_t j) {
+        typename Sharded::Shard& mine = sharded.shard(j);
+        Tuple scan_scratch;
+        // Left pass: every left key lands in the result, joined against
+        // the right annotation or zero.
+        parallel_internal::ScanWithHashes(
+            left, left_hashes, &scan_scratch,
+            [&](uint64_t hash, const Tuple& key, const K& value) {
+              if (Sharded::ShardOfHash(hash) != j) {
+                return;
+              }
+              const K* other =
+                  parallel_internal::FindWithHash(right, hash, key);
+              auto [slot, inserted] = mine.FindOrInsertHashed(hash, key);
+              HIERARQ_CHECK(inserted);  // Left keys are unique.
+              *slot = times(value, other != nullptr ? *other : zero);
+            });
+        // Right pass: only keys absent from the left still need a result
+        // entry; shared keys were finalized above.
+        parallel_internal::ScanWithHashes(
+            right, right_hashes, &scan_scratch,
+            [&](uint64_t hash, const Tuple& key, const K& value) {
+              if (Sharded::ShardOfHash(hash) != j) {
+                return;
+              }
+              auto [slot, inserted] = mine.FindOrInsertHashed(hash, key);
+              if (inserted) {
+                *slot = times(zero, value);
+              }
+            });
+      });
 }
 
 /// The terminal Rule 1 shape: every row of `src` folds into the single
@@ -543,9 +418,8 @@ template <typename K, typename Plus>
 std::optional<K> ParallelFoldSupport(const AnnotatedRelation<K>& src,
                                      Plus plus,
                                      const IntraQueryParallel& par) {
-  using Sharded = ShardedStore<K>;
   HIERARQ_CHECK(par.enabled());
-  constexpr size_t kSegments = Sharded::kNumShards;
+  constexpr size_t kSegments = ShardedColumnarStore<K>::kNumShards;
   std::vector<std::optional<K>> partial(kSegments);
 
   const auto fold_into = [&plus](std::optional<K>& acc, const K& value) {
@@ -565,27 +439,6 @@ std::optional<K> ParallelFoldSupport(const AnnotatedRelation<K>& src,
         for (size_t r = lo; r < hi; ++r) {
           fold_into(partial[s], store.row_value(static_cast<uint32_t>(r)));
         }
-      });
-      break;
-    }
-    case StorageKind::kFlat: {
-      const auto& store = src.flat_store();
-      par.pool->ParallelFor(kSegments, [&](size_t, size_t s) {
-        const auto [lo, hi] =
-            parallel_internal::Slice(store.capacity(), kSegments, s);
-        store.ForEachInSlotRange(lo, hi,
-                                 [&](const Tuple&, const K& value) {
-                                   fold_into(partial[s], value);
-                                 });
-      });
-      break;
-    }
-    case StorageKind::kSharded: {
-      const ShardedStore<K>& store = src.sharded_store();
-      par.pool->ParallelFor(kSegments, [&](size_t, size_t s) {
-        store.shard(s).ForEach([&](const Tuple&, const K& value) {
-          fold_into(partial[s], value);
-        });
       });
       break;
     }
@@ -641,14 +494,14 @@ void ProjectDropStep(const AnnotatedRelation<K>& source, size_t drop_pos,
   }
   if (big && result_vars.empty()) {
     // Terminal fold: all rows land on the empty key, so output sharding
-    // cannot split the work; the single-key result is cheapest flat.
-    result->Reset(result_vars, StorageKind::kFlat);
+    // cannot split the work; the single-key result stays unsharded.
+    result->Reset(result_vars, StorageKind::kColumnar);
     std::optional<K> folded = ParallelFoldSupport(source, plus, par);
     if (folded.has_value()) {
       result->Set(Tuple{}, *std::move(folded));
     }
   } else if (big) {
-    result->Reset(result_vars, par.parallel_storage);
+    result->Reset(result_vars, StorageKind::kShardedColumnar);
     ParallelProjectDropInto(source, drop_pos, plus, par, result);
   } else {
     result->Reset(result_vars, serial_storage);
@@ -675,7 +528,7 @@ void JoinUnionStep(const AnnotatedRelation<K>& left,
     exec->threads = big ? par.threads : 1;
   }
   if (big) {
-    result->Reset(result_vars, par.parallel_storage);
+    result->Reset(result_vars, StorageKind::kShardedColumnar);
     ParallelJoinUnionInto(left, right, times, zero, par, result);
   } else {
     result->Reset(result_vars, serial_storage);
@@ -686,9 +539,9 @@ void JoinUnionStep(const AnnotatedRelation<K>& left,
 /// `RunAlgorithm1InPlace` with intra-query parallelism: per-step fan-out
 /// over hash shards when the step's input is large enough, bit-identical
 /// serial execution otherwise (and entirely serial when `par` is
-/// disabled). Intermediates produced by parallel steps live in the
-/// sharded flavor `par.parallel_storage` names; small steps keep their
-/// source's backend so the serial natives still apply. See
+/// disabled). Intermediates produced by parallel steps live in
+/// kShardedColumnar; small steps keep their source's backend so the
+/// serial natives still apply. See
 /// RunAlgorithm1InPlace for the relations-vector contract.
 template <TwoMonoid M>
 typename M::value_type RunAlgorithm1InPlaceParallel(

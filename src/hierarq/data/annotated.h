@@ -12,14 +12,13 @@
 /// order (atom term order, duplicate variables, and constants are resolved
 /// once, when the base database is annotated).
 ///
-/// `AnnotatedRelation` is a facade over five interchangeable storage
-/// backends (data/storage.h), selected **at runtime** per relation:
-/// the std::unordered_map baseline, the tuple-keyed open-addressing
-/// `FlatMap` (util/flat_map.h), the column-major `ColumnarStore`
-/// (data/columnar.h), and the hash-sharded `ShardedStore` /
-/// `ShardedColumnarStore` pair (data/sharded.h, the substrates of
-/// intra-query parallel steps — core/parallel.h). All backends implement
-/// the same narrow interface —
+/// `AnnotatedRelation` is a facade over three interchangeable storage
+/// backends (data/storage.h), selected **at runtime** per relation: the
+/// column-major `ColumnarStore` (data/columnar.h, the default), the
+/// hash-sharded `ShardedColumnarStore` (data/sharded.h, the substrate of
+/// intra-query parallel steps — core/parallel.h), and the
+/// std::unordered_map reference baseline. All backends implement the
+/// same narrow interface —
 /// `Find` / `FindOrInsert` / `Merge` / `Erase` / `Reset` / `AssignFrom`
 /// plus the Algorithm 1 bulk operations `ProjectDropInto` (Rule 1) and
 /// `JoinUnionInto` (Rule 2) — and are proven interchangeable by the
@@ -38,14 +37,14 @@
 #include "hierarq/data/tuple.h"
 #include "hierarq/query/query.h"
 #include "hierarq/query/var_set.h"
-#include "hierarq/util/flat_map.h"
 #include "hierarq/util/logging.h"
 #include "hierarq/util/result.h"
 
 namespace hierarq {
 
-/// Gives std::unordered_map the FlatMap surface, so the baseline backend
-/// plugs into AnnotatedRelation's dispatch like the other two layouts.
+/// Gives std::unordered_map the store surface `ColumnarStore` exposes, so
+/// the baseline backend plugs into AnnotatedRelation's dispatch like the
+/// columnar layouts.
 template <typename Key, typename Mapped, typename Hash>
 class StdMapAdapter {
  public:
@@ -233,9 +232,9 @@ class AnnotatedRelation {
   }
 
   /// Visits every stored fact as (key, annotation). Visit order is
-  /// backend-defined (hash-layout order for the map backends, insertion
-  /// order for columnar) — callers must not rely on it beyond "each fact
-  /// exactly once".
+  /// backend-defined (bucket order for the baseline, insertion order per
+  /// shard for the columnar layouts) — callers must not rely on it beyond
+  /// "each fact exactly once".
   template <typename Fn>
   void ForEach(Fn fn) const {
     Visit([&](const auto& store) { store.ForEach(fn); });
@@ -314,21 +313,9 @@ class AnnotatedRelation {
   /// intra-query parallel runner, core/parallel.h, scans rows and owns
   /// shards through these). CHECKs that the named backend is the active
   /// one.
-  const FlatMap<Tuple, K, TupleHash>& flat_store() const {
-    HIERARQ_CHECK(storage_ == StorageKind::kFlat);
-    return flat_;
-  }
   const ColumnarStore<K>& columnar_store() const {
     HIERARQ_CHECK(storage_ == StorageKind::kColumnar);
     return columnar_;
-  }
-  const ShardedStore<K>& sharded_store() const {
-    HIERARQ_CHECK(storage_ == StorageKind::kSharded);
-    return sharded_;
-  }
-  ShardedStore<K>& mutable_sharded_store() {
-    HIERARQ_CHECK(storage_ == StorageKind::kSharded);
-    return sharded_;
   }
   const ShardedColumnarStore<K>& sharded_columnar_store() const {
     HIERARQ_CHECK(storage_ == StorageKind::kShardedColumnar);
@@ -341,7 +328,6 @@ class AnnotatedRelation {
 
  private:
   using BaselineStore = StdMapAdapter<Tuple, K, TupleHash>;
-  using FlatStore = FlatMap<Tuple, K, TupleHash>;
 
   /// Applies `fn` to the active backend. The single dispatch point: a new
   /// StorageKind that misses a case here dies loudly on first use instead
@@ -351,36 +337,28 @@ class AnnotatedRelation {
     switch (storage_) {
       case StorageKind::kBaseline:
         return fn(baseline_);
-      case StorageKind::kFlat:
-        return fn(flat_);
       case StorageKind::kColumnar:
         return fn(columnar_);
-      case StorageKind::kSharded:
-        return fn(sharded_);
       case StorageKind::kShardedColumnar:
         return fn(sharded_columnar_);
     }
     HIERARQ_CHECK(false) << "unhandled StorageKind "
                          << static_cast<int>(storage_);
-    return fn(flat_);  // Unreachable; satisfies the return type.
+    return fn(columnar_);  // Unreachable; satisfies the return type.
   }
   template <typename Fn>
   decltype(auto) Visit(Fn fn) const {
     switch (storage_) {
       case StorageKind::kBaseline:
         return fn(baseline_);
-      case StorageKind::kFlat:
-        return fn(flat_);
       case StorageKind::kColumnar:
         return fn(columnar_);
-      case StorageKind::kSharded:
-        return fn(sharded_);
       case StorageKind::kShardedColumnar:
         return fn(sharded_columnar_);
     }
     HIERARQ_CHECK(false) << "unhandled StorageKind "
                          << static_cast<int>(storage_);
-    return fn(flat_);  // Unreachable; satisfies the return type.
+    return fn(columnar_);  // Unreachable; satisfies the return type.
   }
 
   /// The member of the given backend type — lets AssignFrom copy the
@@ -389,10 +367,6 @@ class AnnotatedRelation {
   Store& StoreOf() {
     if constexpr (std::is_same_v<Store, BaselineStore>) {
       return baseline_;
-    } else if constexpr (std::is_same_v<Store, FlatStore>) {
-      return flat_;
-    } else if constexpr (std::is_same_v<Store, ShardedStore<K>>) {
-      return sharded_;
     } else if constexpr (std::is_same_v<Store, ShardedColumnarStore<K>>) {
       return sharded_columnar_;
     } else {
@@ -414,13 +388,11 @@ class AnnotatedRelation {
   VarSet schema_;
   StorageKind storage_ = kDefaultStorageKind;
   // Exactly one backend is active (named by storage_); the others stay
-  // empty. Keeping all five as members makes backend switches and
+  // empty. Keeping all three as members makes backend switches and
   // AssignFrom adoption trivial at the cost of a few empty shells per
   // relation — relations are few (2x query atoms), so this is noise.
   BaselineStore baseline_;
-  FlatStore flat_;
   ColumnarStore<K> columnar_;
-  ShardedStore<K> sharded_;
   ShardedColumnarStore<K> sharded_columnar_;
 };
 

@@ -4,11 +4,11 @@
 /// \file columnar.h
 /// \brief `ColumnarStore` — column-major storage for annotated relations.
 ///
-/// The flat backend (util/flat_map.h) keys its table by whole tuples, so
-/// Rule 1's drop-one-variable projection re-hashes and re-compares every
-/// surviving position of every fact *through the tuple*, touching bytes
-/// the projection is about to discard. `ColumnarStore` decomposes a
-/// relation by schema position instead:
+/// A table keyed by whole tuples makes Rule 1's drop-one-variable
+/// projection re-hash and re-compare every surviving position of every
+/// fact *through the tuple*, touching bytes the projection is about to
+/// discard. `ColumnarStore` decomposes a relation by schema position
+/// instead:
 ///
 ///   * one dense `std::vector<Value>` per schema position (row r's key is
 ///     `columns_[0][r], ..., columns_[arity-1][r]`);
@@ -45,8 +45,8 @@
 ///     compare-free inserts (output keys are unique by Lemma 6.6's
 ///     union-of-supports argument, so equality checks are unnecessary).
 ///
-/// Pointer validity matches FlatMap: pointers returned by
-/// `Find`/`FindOrInsert` are invalidated by the next mutating call.
+/// Pointers returned by `Find`/`FindOrInsert` are invalidated by the next
+/// mutating call, like iterators of any rehashing table.
 
 #include <algorithm>
 #include <cstddef>
@@ -90,8 +90,9 @@ class ColumnarStore {
   bool empty() const { return values_.empty(); }
 
   /// Drops all rows and re-targets the store at `arity` positions. Kept
-  /// columns and the index keep their allocations (buffer-reuse entry
-  /// point, like FlatMap::Clear).
+  /// columns and the index keep their allocations (the buffer-reuse entry
+  /// point: a store reused across evaluations reaches steady state with
+  /// zero allocations).
   void Reset(size_t arity) {
     Clear();
     columns_.resize(arity);
@@ -466,8 +467,8 @@ class ColumnarStore {
   /// enough to cover a memory load, shallow enough to stay in flight.
   static constexpr size_t kProbeAhead = 16;
   static constexpr size_t kMinCapacity = 8;
-  // Same 7/8 load policy as FlatMap; denser tables iterate cheaper and
-  // robin-hood keeps probe variance low at high load.
+  // 7/8 maximum load: denser tables iterate cheaper, and robin-hood keeps
+  // probe variance low at high load.
   static constexpr size_t kMaxLoadNum = 8;
   static constexpr size_t kMaxLoadDen = 7;
   static constexpr uint8_t kMaxDistance = 255;

@@ -6,36 +6,12 @@ const char* StorageKindName(StorageKind kind) {
   switch (kind) {
     case StorageKind::kBaseline:
       return "baseline";
-    case StorageKind::kFlat:
-      return "flat";
     case StorageKind::kColumnar:
       return "columnar";
-    case StorageKind::kSharded:
-      return "sharded";
     case StorageKind::kShardedColumnar:
       return "sharded_columnar";
   }
   return "unknown";
-}
-
-std::optional<StorageKind> ParseStorageKind(std::string_view name) {
-  if (name == "baseline" || name == "std" || name == "map") {
-    return StorageKind::kBaseline;
-  }
-  if (name == "flat") {
-    return StorageKind::kFlat;
-  }
-  if (name == "columnar" || name == "column") {
-    return StorageKind::kColumnar;
-  }
-  if (name == "sharded" || name == "shard") {
-    return StorageKind::kSharded;
-  }
-  if (name == "sharded_columnar" || name == "sharded-columnar" ||
-      name == "shardcol") {
-    return StorageKind::kShardedColumnar;
-  }
-  return std::nullopt;
 }
 
 }  // namespace hierarq

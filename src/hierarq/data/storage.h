@@ -4,69 +4,47 @@
 /// \file storage.h
 /// \brief The storage-backend selector for `AnnotatedRelation`.
 ///
-/// Five layouts implement the relation interface
+/// Three layouts implement the relation interface
 /// (`Find`/`FindOrInsert`/`Merge`/`Reset`/`AssignFrom`):
 ///
-///   * `kBaseline` — `std::unordered_map<Tuple, K>`: the reference
-///     implementation; one heap node per fact, pointer-chasing probes.
-///   * `kFlat`     — `FlatMap` (util/flat_map.h): open-addressing
-///     robin-hood table keyed by whole tuples stored inline.
 ///   * `kColumnar` — `ColumnarStore` (data/columnar.h): one value vector
 ///     per schema position plus a row-id hash index, so Rule 1
-///     projections touch only the surviving columns.
-///   * `kSharded`  — `ShardedStore` (data/sharded.h): a power-of-two set
-///     of independent FlatMap shards routed by the top bits of the key
-///     hash, so intra-query parallel Rule 1/Rule 2 steps
-///     (core/parallel.h) accumulate lock-free, one worker per shard.
-///   * `kShardedColumnar` — `ShardedColumnarStore` (data/sharded.h): the
-///     same hash-sharded partition with a `ColumnarStore` per shard, so
-///     parallel steps keep the lock-free shard ownership *and* the SIMD
-///     batch-hash/compare kernels columnar execution gets.
+///     projections touch only the surviving columns. The default.
+///   * `kShardedColumnar` — `ShardedColumnarStore` (data/sharded.h): a
+///     power-of-two set of independent `ColumnarStore` shards routed by
+///     the top bits of the key hash, so intra-query parallel Rule 1/Rule 2
+///     steps (core/parallel.h) accumulate lock-free, one worker per shard.
+///     The only target parallel steps scatter into.
+///   * `kBaseline` — `std::unordered_map<Tuple, K>`: the reference
+///     implementation the differential suites check the other two
+///     against; one heap node per fact, pointer-chasing probes.
 ///
-/// All five are always compiled in; the backend is selected *at runtime*
-/// per relation (threaded as an engine option through `Evaluator`,
-/// `EvalService` and `hierarq_cli --storage=...`), so A/B comparison runs
-/// need no rebuild. The compile-time policy — CMake options
-/// `HIERARQ_STORAGE_BASELINE` / (default flat) / `HIERARQ_STORAGE_COLUMNAR`
-/// — only picks which backend newly created relations default to.
-
-#include <optional>
-#include <string_view>
+/// The backend is a runtime property of each relation (threaded as an
+/// engine option through `Evaluator`, `EvalService` and
+/// `IncrementalEvaluator`), so reference runs need no rebuild.
 
 namespace hierarq {
 
 /// Which layout an `AnnotatedRelation` stores its support in.
 enum class StorageKind : unsigned char {
-  kBaseline = 0,  ///< std::unordered_map reference backend.
-  kFlat = 1,      ///< Tuple-keyed open-addressing FlatMap.
-  kColumnar = 2,  ///< Column vectors + row-id hash index.
-  kSharded = 3,   ///< Hash-sharded FlatMap shards (intra-query parallel).
-  kShardedColumnar = 4,  ///< Hash-sharded ColumnarStore shards.
+  kBaseline,         ///< std::unordered_map reference backend.
+  kColumnar,         ///< Column vectors + row-id hash index.
+  kShardedColumnar,  ///< Hash-sharded ColumnarStore shards.
 };
 
-/// The backend relations default to, fixed by the compile-time policy.
-inline constexpr StorageKind kDefaultStorageKind =
-#if defined(HIERARQ_STORAGE_DEFAULT_BASELINE)
-    StorageKind::kBaseline;
-#elif defined(HIERARQ_STORAGE_DEFAULT_COLUMNAR)
-    StorageKind::kColumnar;
-#else
-    StorageKind::kFlat;
-#endif
+/// The backend relations default to.
+inline constexpr StorageKind kDefaultStorageKind = StorageKind::kColumnar;
 
-/// "baseline" / "flat" / "columnar" / "sharded" / "sharded_columnar" —
-/// the spelling of the CLI flag and of the per-row storage tags in
+/// "baseline" / "columnar" / "sharded_columnar" — the per-step backend
+/// in EXPLAIN and trace output, and the per-row storage tag in
 /// BENCH_*.json.
 const char* StorageKindName(StorageKind kind);
-
-/// Inverse of `StorageKindName`; nullopt for unknown spellings.
-std::optional<StorageKind> ParseStorageKind(std::string_view name);
 
 /// All backends, in enum order — the iteration axis of the cross-backend
 /// differential tests and the per-backend bench emitters.
 inline constexpr StorageKind kAllStorageKinds[] = {
-    StorageKind::kBaseline, StorageKind::kFlat, StorageKind::kColumnar,
-    StorageKind::kSharded, StorageKind::kShardedColumnar};
+    StorageKind::kBaseline, StorageKind::kColumnar,
+    StorageKind::kShardedColumnar};
 
 }  // namespace hierarq
 

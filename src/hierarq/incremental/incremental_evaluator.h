@@ -59,11 +59,10 @@ class IncrementalEvaluator {
     size_t intra_query_threads = 1;
     /// Adaptive materialization (core/adaptive.h): with the default
     /// thread count the pool is sized from the detected hardware
-    /// concurrency, and parallel steps scatter into the SIMD-widened
-    /// sharded-columnar flavor. Unlike the batch engine, steps are not
-    /// re-decided per replay — a view's intermediates are
-    /// delta-maintained in whatever backend materialization placed them,
-    /// so the choice must be stable for the view's lifetime.
+    /// concurrency. Unlike the batch engine, steps are not re-decided per
+    /// replay — a view's intermediates are delta-maintained in whatever
+    /// backend materialization placed them, so the choice must be stable
+    /// for the view's lifetime.
     bool adaptive = false;
   };
 
@@ -104,9 +103,6 @@ class IncrementalEvaluator {
       pool_ = std::make_unique<WorkerPool>(options_.intra_query_threads);
       par_.pool = pool_.get();
       par_.threads = options_.intra_query_threads;
-      if (options_.adaptive) {
-        par_.parallel_storage = StorageKind::kShardedColumnar;
-      }
     }
   }
 

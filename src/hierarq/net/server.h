@@ -119,6 +119,9 @@ class HierarqServer {
   /// Stop().
   void Wait();
 
+  /// The served database. Safe to read only before `Start()` or after
+  /// `Stop()`: while serving, connection threads apply deltas to it
+  /// under a lock this accessor does not take.
   const VersionedDatabase& database() const { return db_; }
   AsyncEvalService& async() { return async_; }
 

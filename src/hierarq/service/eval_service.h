@@ -148,8 +148,7 @@ class EvalService {
     /// Worker threads; 0 means std::thread::hardware_concurrency().
     size_t num_workers = 0;
     /// Storage backend for the shared annotation pools and every worker's
-    /// scratch relations (data/storage.h) — the service-level engine
-    /// option behind `hierarq_cli batch ... --storage=...`.
+    /// scratch relations (data/storage.h).
     StorageKind storage = kDefaultStorageKind;
     /// > 1 routes a group that holds exactly ONE plannable query over a
     /// big database through intra-query shard parallelism
@@ -165,8 +164,8 @@ class EvalService {
     size_t parallel_min_rows = 4096;
     /// Adaptive per-step execution (core/adaptive.h) for the intra-query
     /// route: the single-huge-replay evaluator exists even when
-    /// `intra_query_threads` is unset and decides each step's backend,
-    /// fan-out, and cutoff from stats + measured feedback. Batch fan-out
+    /// `intra_query_threads` is unset and decides each step's fan-out
+    /// and cutoff from stats + measured feedback. Batch fan-out
     /// is untouched — across-query parallelism already saturates the
     /// pool, so each worker's serial replay is the right fixed point.
     bool adaptive = false;

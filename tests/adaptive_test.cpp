@@ -170,7 +170,7 @@ TEST(AdaptiveDifferential, BigInstanceGoesParallelAndStaysExact) {
   const auto annotate = std::function<uint64_t(const Fact&)>(
       [](const Fact&) -> uint64_t { return 1; });
 
-  Evaluator serial(StorageKind::kFlat);
+  Evaluator serial(StorageKind::kColumnar);
   auto reference =
       serial.Evaluate<CountMonoid>(q, CountMonoid{}, db, annotate);
   ASSERT_TRUE(reference.ok());
@@ -193,7 +193,7 @@ TEST(AdaptiveDifferential, BigInstanceGoesParallelAndStaysExact) {
 
 TEST(AdaptiveStats, UnshardedLayoutsReportNeutralSkew) {
   AnnotatedRelation<uint64_t> rel;
-  rel.Reset(VarSet{0, 1}, StorageKind::kFlat);
+  rel.Reset(VarSet{0, 1}, StorageKind::kColumnar);
   rel.Set(MakeTuple({1, 2}), 1);
   rel.Set(MakeTuple({3, 4}), 1);
   const RelationStats stats = CollectRelationStats(rel);
@@ -203,30 +203,27 @@ TEST(AdaptiveStats, UnshardedLayoutsReportNeutralSkew) {
 }
 
 TEST(AdaptiveStats, ShardOccupancyDrivesSkew) {
-  for (StorageKind kind :
-       {StorageKind::kSharded, StorageKind::kShardedColumnar}) {
-    SCOPED_TRACE(StorageKindName(kind));
-    AnnotatedRelation<uint64_t> rel;
-    rel.Reset(VarSet{0}, kind);
-    EXPECT_DOUBLE_EQ(CollectRelationStats(rel).skew, 1.0);  // Empty.
+  AnnotatedRelation<uint64_t> rel;
+  rel.Reset(VarSet{0}, StorageKind::kShardedColumnar);
+  EXPECT_DOUBLE_EQ(CollectRelationStats(rel).skew, 1.0);  // Empty.
 
-    // One row lives in exactly one of the 8 shards: maximal skew.
-    rel.Set(MakeTuple({42}), 1);
-    const RelationStats single = CollectRelationStats(rel);
-    EXPECT_EQ(single.rows, 1u);
-    EXPECT_EQ(single.arity, 1u);
-    EXPECT_DOUBLE_EQ(single.skew,
-                     static_cast<double>(ShardedStore<uint64_t>::kNumShards));
+  // One row lives in exactly one of the 8 shards: maximal skew.
+  rel.Set(MakeTuple({42}), 1);
+  const RelationStats single = CollectRelationStats(rel);
+  EXPECT_EQ(single.rows, 1u);
+  EXPECT_EQ(single.arity, 1u);
+  EXPECT_DOUBLE_EQ(
+      single.skew,
+      static_cast<double>(ShardedColumnarStore<uint64_t>::kNumShards));
 
-    // Many distinct hash-routed keys spread out: skew falls toward 1.
-    for (Value v = 0; v < 4000; ++v) {
-      rel.Set(MakeTuple({v}), 1);
-    }
-    const RelationStats spread = CollectRelationStats(rel);
-    EXPECT_EQ(spread.rows, 4000u);
-    EXPECT_GE(spread.skew, 1.0);
-    EXPECT_LT(spread.skew, 1.5);
+  // Many distinct hash-routed keys spread out: skew falls toward 1.
+  for (Value v = 0; v < 4000; ++v) {
+    rel.Set(MakeTuple({v}), 1);
   }
+  const RelationStats spread = CollectRelationStats(rel);
+  EXPECT_EQ(spread.rows, 4000u);
+  EXPECT_GE(spread.skew, 1.0);
+  EXPECT_LT(spread.skew, 1.5);
 }
 
 // ----------------------------------------------------------- cost model --
@@ -273,7 +270,8 @@ TEST(AdaptiveChoice, SkewDiscountsTheParallelEstimate) {
   // All rows in one shard: effective parallelism 1, the latch is pure
   // overhead — the controller must fall back to serial.
   RelationStats skewed = uniform;
-  skewed.skew = static_cast<double>(ShardedStore<uint64_t>::kNumShards);
+  skewed.skew =
+      static_cast<double>(ShardedColumnarStore<uint64_t>::kNumShards);
   const StepChoice choice = controller.Choose(nullptr, 0, skewed);
   EXPECT_FALSE(choice.parallel);
   EXPECT_GT(choice.predicted_parallel_ns, choice.predicted_serial_ns);
@@ -405,14 +403,15 @@ TEST(AdaptiveIncremental, AdaptiveMaterializationTracksSerialDeltas) {
   IncrementalEvaluator<CountMonoid> serial(
       CountMonoid{}, &serial_db,
       [](const Fact&, double) -> uint64_t { return 1; },
-      {StorageKind::kFlat});
+      {StorageKind::kColumnar});
   // Explicit threads + adaptive: parallel materialization scatters into
   // the sharded-columnar flavor, then serial delta maintenance must
   // track the plain-serial view exactly.
   IncrementalEvaluator<CountMonoid> adaptive(
       CountMonoid{}, &adaptive_db,
       [](const Fact&, double) -> uint64_t { return 1; },
-      {StorageKind::kFlat, /*intra_query_threads=*/4, /*adaptive=*/true});
+      {StorageKind::kColumnar, /*intra_query_threads=*/4,
+       /*adaptive=*/true});
 
   auto serial_handle = serial.Attach(q);
   auto adaptive_handle = adaptive.Attach(q);

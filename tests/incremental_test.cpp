@@ -341,7 +341,7 @@ TEST(IncrementalViewTest, NonHierarchicalQueryFailsToAttach) {
 // The randomized delta-vs-scratch differential harness.
 
 struct SequenceConfig {
-  StorageKind storage = StorageKind::kFlat;
+  StorageKind storage = kDefaultStorageKind;
   uint64_t seed = 0;
   size_t num_batches = 10;
   size_t max_ops_per_batch = 3;

@@ -171,7 +171,7 @@ TEST(ParallelDifferential, ShapleyValuesBitIdenticalUnderThreads) {
     (i++ % 2 == 0 ? exo : endo).AddFactOrDie(fact.relation, fact.tuple);
   }
 
-  Evaluator serial(StorageKind::kFlat);
+  Evaluator serial(StorageKind::kColumnar);
   auto reference = AllShapleyValues(serial, q, exo, endo);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
@@ -336,66 +336,60 @@ TEST(FusedSteps, Rule1AndRule2TakeOneLatchEach) {
   const auto times = [](uint64_t a, uint64_t b) { return a * b; };
 
   const AnnotatedRelation<uint64_t> source =
-      FilledRelation(VarSet{0, 1}, StorageKind::kFlat, 300, 0xfab1);
+      FilledRelation(VarSet{0, 1}, StorageKind::kColumnar, 300, 0xfab1);
   AnnotatedRelation<uint64_t> projected;
   const size_t before_rule1 = pool.parallel_for_calls();
   ProjectDropStep(source, /*drop_pos=*/0, VarSet{1}, plus, par,
-                  StorageKind::kFlat, &projected);
+                  StorageKind::kColumnar, &projected);
   EXPECT_EQ(pool.parallel_for_calls() - before_rule1, 1u);
   EXPECT_FALSE(projected.empty());
 
   const AnnotatedRelation<uint64_t> left =
-      FilledRelation(VarSet{0, 1}, StorageKind::kFlat, 300, 0xfab2);
+      FilledRelation(VarSet{0, 1}, StorageKind::kColumnar, 300, 0xfab2);
   const AnnotatedRelation<uint64_t> right =
-      FilledRelation(VarSet{0, 1}, StorageKind::kFlat, 300, 0xfab3);
+      FilledRelation(VarSet{0, 1}, StorageKind::kColumnar, 300, 0xfab3);
   AnnotatedRelation<uint64_t> joined;
   const size_t before_rule2 = pool.parallel_for_calls();
   JoinUnionStep(left, right, VarSet{0, 1}, times, uint64_t{0}, par,
-                StorageKind::kFlat, &joined);
+                StorageKind::kColumnar, &joined);
   EXPECT_EQ(pool.parallel_for_calls() - before_rule2, 1u);
   EXPECT_FALSE(joined.empty());
 }
 
-// Both sharded scatter flavors (FlatMap shards and the SIMD-widened
-// columnar shards) must produce the serial natives' exact contents, from
-// every range-scannable input layout.
-TEST(FusedSteps, ScatterFlavorsMatchSerialResults) {
+// The sharded scatter must produce the serial natives' exact contents,
+// from every range-scannable input layout.
+TEST(FusedSteps, ScatterMatchesSerialResults) {
   WorkerPool pool(4);
   const auto plus = [](uint64_t a, uint64_t b) { return a + b; };
   const auto times = [](uint64_t a, uint64_t b) { return a * b; };
+  const IntraQueryParallel par{&pool, 4, /*min_rows=*/1};
 
-  for (StorageKind input : {StorageKind::kFlat, StorageKind::kColumnar,
-                            StorageKind::kSharded,
-                            StorageKind::kShardedColumnar}) {
-    for (StorageKind scatter :
-         {StorageKind::kSharded, StorageKind::kShardedColumnar}) {
-      SCOPED_TRACE(std::string(StorageKindName(input)) + " -> " +
-                   StorageKindName(scatter));
-      IntraQueryParallel par{&pool, 4, /*min_rows=*/1, scatter};
-      const AnnotatedRelation<uint64_t> source =
-          FilledRelation(VarSet{0, 1}, input, 400, 0x5ca7);
-      const AnnotatedRelation<uint64_t> other =
-          FilledRelation(VarSet{0, 1}, input, 400, 0x5ca8);
+  for (StorageKind input :
+       {StorageKind::kColumnar, StorageKind::kShardedColumnar}) {
+    SCOPED_TRACE(StorageKindName(input));
+    const AnnotatedRelation<uint64_t> source =
+        FilledRelation(VarSet{0, 1}, input, 400, 0x5ca7);
+    const AnnotatedRelation<uint64_t> other =
+        FilledRelation(VarSet{0, 1}, input, 400, 0x5ca8);
 
-      AnnotatedRelation<uint64_t> serial_projected;
-      ProjectDropStep(source, 0, VarSet{1}, plus, IntraQueryParallel{},
-                      StorageKind::kFlat, &serial_projected);
-      AnnotatedRelation<uint64_t> parallel_projected;
-      ProjectDropStep(source, 0, VarSet{1}, plus, par, StorageKind::kFlat,
-                      &parallel_projected);
-      EXPECT_EQ(parallel_projected.storage(), scatter);
-      ExpectSameRelation(serial_projected, parallel_projected);
+    AnnotatedRelation<uint64_t> serial_projected;
+    ProjectDropStep(source, 0, VarSet{1}, plus, IntraQueryParallel{},
+                    StorageKind::kColumnar, &serial_projected);
+    AnnotatedRelation<uint64_t> parallel_projected;
+    ProjectDropStep(source, 0, VarSet{1}, plus, par, StorageKind::kColumnar,
+                    &parallel_projected);
+    EXPECT_EQ(parallel_projected.storage(), StorageKind::kShardedColumnar);
+    ExpectSameRelation(serial_projected, parallel_projected);
 
-      AnnotatedRelation<uint64_t> serial_joined;
-      JoinUnionStep(source, other, VarSet{0, 1}, times, uint64_t{0},
-                    IntraQueryParallel{}, StorageKind::kFlat,
-                    &serial_joined);
-      AnnotatedRelation<uint64_t> parallel_joined;
-      JoinUnionStep(source, other, VarSet{0, 1}, times, uint64_t{0}, par,
-                    StorageKind::kFlat, &parallel_joined);
-      EXPECT_EQ(parallel_joined.storage(), scatter);
-      ExpectSameRelation(serial_joined, parallel_joined);
-    }
+    AnnotatedRelation<uint64_t> serial_joined;
+    JoinUnionStep(source, other, VarSet{0, 1}, times, uint64_t{0},
+                  IntraQueryParallel{}, StorageKind::kColumnar,
+                  &serial_joined);
+    AnnotatedRelation<uint64_t> parallel_joined;
+    JoinUnionStep(source, other, VarSet{0, 1}, times, uint64_t{0}, par,
+                  StorageKind::kColumnar, &parallel_joined);
+    EXPECT_EQ(parallel_joined.storage(), StorageKind::kShardedColumnar);
+    ExpectSameRelation(serial_joined, parallel_joined);
   }
 }
 
@@ -410,7 +404,7 @@ TEST(ParallelIncremental, ParallelMaterializeFeedsSerialDeltasCorrectly) {
   const Database base = RandomDatabaseForQuery(q, rng, dopts);
 
   for (StorageKind storage :
-       {StorageKind::kFlat, StorageKind::kColumnar, StorageKind::kSharded}) {
+       {StorageKind::kColumnar, StorageKind::kShardedColumnar}) {
     SCOPED_TRACE(StorageKindName(storage));
     VersionedDatabase serial_db(base);
     VersionedDatabase parallel_db(base);

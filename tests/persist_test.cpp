@@ -908,8 +908,8 @@ TEST(PersistedServerTest, AckedBatchesSurviveServerTeardown) {
     }
     reader.join();
     EXPECT_EQ(acked.load(), kWriters * kBatchesPerWriter);
-    final_generation = server.database().generation();
     server.Stop();
+    final_generation = server.database().generation();
   }
   persistor->reset();  // Close the WAL before "restarting".
 

@@ -1,7 +1,7 @@
-// ShardedStore unit tests plus a randomized differential against
+// ShardedColumnarStore unit tests plus a randomized differential against
 // std::unordered_map covering the full mutation surface — including the
 // per-key Erase the incremental subsystem leans on — and the
-// AnnotatedRelation facade paths that adopt or copy sharded backends.
+// AnnotatedRelation facade paths that adopt or copy the sharded backend.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +26,9 @@ Tuple RandomKey(Rng& rng, size_t arity, int64_t domain) {
   return key;
 }
 
-TEST(ShardedStoreTest, BasicInsertFindEraseAcrossShards) {
-  ShardedStore<uint64_t> store;
+TEST(ShardedColumnarStoreTest, BasicInsertFindEraseAcrossShards) {
+  ShardedColumnarStore<uint64_t> store;
+  store.Reset(2);
   EXPECT_TRUE(store.empty());
 
   // Enough keys that every shard receives some (256 keys over 8 shards).
@@ -39,10 +40,10 @@ TEST(ShardedStoreTest, BasicInsertFindEraseAcrossShards) {
   EXPECT_EQ(store.size(), 256u);
 
   size_t occupied_shards = 0;
-  for (size_t s = 0; s < ShardedStore<uint64_t>::kNumShards; ++s) {
+  for (size_t s = 0; s < ShardedColumnarStore<uint64_t>::kNumShards; ++s) {
     occupied_shards += store.shard(s).empty() ? 0 : 1;
   }
-  EXPECT_EQ(occupied_shards, ShardedStore<uint64_t>::kNumShards)
+  EXPECT_EQ(occupied_shards, ShardedColumnarStore<uint64_t>::kNumShards)
       << "256 hashed keys should touch all 8 shards";
 
   for (int64_t i = 0; i < 256; ++i) {
@@ -62,26 +63,31 @@ TEST(ShardedStoreTest, BasicInsertFindEraseAcrossShards) {
   EXPECT_EQ(store.Find(keys[0]), nullptr);
 }
 
-TEST(ShardedStoreTest, KeysLiveInTheShardTheirHashTopBitsName) {
-  ShardedStore<int> store;
+TEST(ShardedColumnarStoreTest, KeysLiveInTheShardTheirHashTopBitsName) {
   Rng rng(0x5a5aULL);
-  for (int i = 0; i < 500; ++i) {
-    const Tuple key = RandomKey(rng, 1 + i % 3, 1000);
-    store.Set(key, i);
-    const size_t expected =
-        ShardedStore<int>::ShardOfHash(TupleHash{}(key));
-    EXPECT_NE(store.shard(expected).Find(key), nullptr)
-        << "key must land in its hash-routed shard";
-    for (size_t s = 0; s < ShardedStore<int>::kNumShards; ++s) {
-      if (s != expected) {
-        EXPECT_EQ(store.shard(s).Find(key), nullptr);
+  for (size_t arity = 1; arity <= 3; ++arity) {
+    ShardedColumnarStore<int> store;
+    store.Reset(arity);
+    for (int i = 0; i < 200; ++i) {
+      const Tuple key = RandomKey(rng, arity, 1000);
+      store.Set(key, i);
+      const size_t expected =
+          ShardedColumnarStore<int>::ShardOfHash(TupleHash{}(key));
+      EXPECT_NE(store.shard(expected).Find(key), nullptr)
+          << "key must land in its hash-routed shard";
+      for (size_t s = 0; s < ShardedColumnarStore<int>::kNumShards; ++s) {
+        if (s != expected) {
+          EXPECT_EQ(store.shard(s).Find(key), nullptr);
+        }
       }
     }
   }
 }
 
-TEST(ShardedStoreTest, ForEachVisitsShardsInIndexOrderDeterministically) {
-  ShardedStore<uint64_t> store;
+TEST(ShardedColumnarStoreTest,
+     ForEachVisitsShardsInIndexOrderDeterministically) {
+  ShardedColumnarStore<uint64_t> store;
+  store.Reset(2);
   Rng rng(0xfeedULL);
   for (int i = 0; i < 300; ++i) {
     store.Set(RandomKey(rng, 2, 100), static_cast<uint64_t>(i));
@@ -98,14 +104,16 @@ TEST(ShardedStoreTest, ForEachVisitsShardsInIndexOrderDeterministically) {
   EXPECT_EQ(first_pass, second_pass);
   size_t previous_shard = 0;
   for (const Tuple& key : first_pass) {
-    const size_t shard = ShardedStore<uint64_t>::ShardOfHash(TupleHash{}(key));
+    const size_t shard =
+        ShardedColumnarStore<uint64_t>::ShardOfHash(TupleHash{}(key));
     EXPECT_GE(shard, previous_shard);
     previous_shard = shard;
   }
 }
 
-TEST(ShardedStoreTest, MergeCombinesExistingEntries) {
-  ShardedStore<uint64_t> store;
+TEST(ShardedColumnarStoreTest, MergeCombinesExistingEntries) {
+  ShardedColumnarStore<uint64_t> store;
+  store.Reset(2);
   const auto plus = [](uint64_t a, uint64_t b) { return a + b; };
   const Tuple key = MakeTuple({4, 2});
   store.Merge(key, 10, plus);
@@ -115,8 +123,9 @@ TEST(ShardedStoreTest, MergeCombinesExistingEntries) {
   EXPECT_EQ(*value, 42u);
 }
 
-TEST(ShardedStoreTest, ReserveThenFillDoesNotLoseEntries) {
-  ShardedStore<uint64_t> store;
+TEST(ShardedColumnarStoreTest, ReserveThenFillDoesNotLoseEntries) {
+  ShardedColumnarStore<uint64_t> store;
+  store.Reset(2);
   store.Reserve(10000);
   Rng rng(0xcafeULL);
   std::unordered_map<Tuple, uint64_t, TupleHash> reference;
@@ -136,13 +145,15 @@ TEST(ShardedStoreTest, ReserveThenFillDoesNotLoseEntries) {
 // Randomized differential: a long interleaved stream of FindOrInsert /
 // Set / Merge / Erase / Clear against std::unordered_map, checked by full
 // content comparison at checkpoints. Erase gets double weight — the
-// robin-hood backward-shift inside a routed shard is the fiddliest path.
-TEST(ShardedStoreTest, RandomizedDifferentialAgainstUnorderedMap) {
+// swap-remove plus index re-point and robin-hood backward-shift inside a
+// routed shard is the fiddliest path.
+TEST(ShardedColumnarStoreTest, RandomizedDifferentialAgainstUnorderedMap) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng(0xd1ffULL + seed);
-    ShardedStore<uint64_t> store;
+    ShardedColumnarStore<uint64_t> store;
     std::unordered_map<Tuple, uint64_t, TupleHash> reference;
     const size_t arity = 1 + static_cast<size_t>(seed % 3);
+    store.Reset(arity);
     const int64_t domain = 60;  // Small: plenty of hits and re-touches.
 
     for (int op = 0; op < 4000; ++op) {
@@ -201,33 +212,34 @@ TEST(ShardedStoreTest, RandomizedDifferentialAgainstUnorderedMap) {
 
 // ------------------------------------------- AnnotatedRelation adoption --
 
-TEST(ShardedStoreTest, AnnotatedRelationRoundTripsThroughShardedBackend) {
+TEST(ShardedColumnarStoreTest,
+     AnnotatedRelationRoundTripsThroughShardedBackend) {
   VarSet schema{VarId{0}, VarId{1}};
-  AnnotatedRelation<uint64_t> sharded(schema, StorageKind::kSharded);
-  EXPECT_EQ(sharded.storage(), StorageKind::kSharded);
+  AnnotatedRelation<uint64_t> sharded(schema, StorageKind::kShardedColumnar);
+  EXPECT_EQ(sharded.storage(), StorageKind::kShardedColumnar);
   Rng rng(0xadd0ULL);
   for (int i = 0; i < 400; ++i) {
     sharded.Set(RandomKey(rng, 2, 80), static_cast<uint64_t>(i) + 1);
   }
 
-  // Copy into a flat relation and back; contents must survive each hop.
-  AnnotatedRelation<uint64_t> flat(schema, StorageKind::kFlat);
-  flat.AssignFrom(sharded, schema);
-  EXPECT_EQ(flat.storage(), StorageKind::kSharded)
+  // Copy into a columnar relation; the contents must survive the hop.
+  AnnotatedRelation<uint64_t> columnar(schema, StorageKind::kColumnar);
+  columnar.AssignFrom(sharded, schema);
+  EXPECT_EQ(columnar.storage(), StorageKind::kShardedColumnar)
       << "AssignFrom adopts the source backend";
-  EXPECT_EQ(flat.size(), sharded.size());
+  EXPECT_EQ(columnar.size(), sharded.size());
   sharded.ForEach([&](const Tuple& key, const uint64_t& value) {
-    const uint64_t* found = flat.Find(key);
+    const uint64_t* found = columnar.Find(key);
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(*found, value);
   });
 
   // Move-adopt leaves the source empty, keeps the contents.
   AnnotatedRelation<uint64_t> adopted;
-  const size_t size_before = flat.size();
-  adopted.AdoptFrom(std::move(flat), schema);
+  const size_t size_before = columnar.size();
+  adopted.AdoptFrom(std::move(columnar), schema);
   EXPECT_EQ(adopted.size(), size_before);
-  EXPECT_EQ(adopted.storage(), StorageKind::kSharded);
+  EXPECT_EQ(adopted.storage(), StorageKind::kShardedColumnar);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Cross-backend differential harness: every storage backend behind
-// `AnnotatedRelation` (baseline std::unordered_map, FlatMap, columnar)
-// must produce the same answers for every solver on the same instance.
+// `AnnotatedRelation` (baseline std::unordered_map, columnar, sharded
+// columnar) must produce the same answers for every solver on the same
+// instance.
 //
 // The harness drives the workload generators (random hierarchical queries
-// + random databases, fully seeded) through all three backends for
+// + random databases, fully seeded) through every backend for
 // count, PQE, resilience, and Shapley, over hundreds of instances, and
 // asserts:
 //   * bit-identical results where the monoid's ⊕/⊗ are exactly
@@ -26,9 +27,6 @@
 
 namespace hierarq {
 namespace {
-
-constexpr StorageKind kKinds[] = {StorageKind::kBaseline, StorageKind::kFlat,
-                                  StorageKind::kColumnar};
 
 uint64_t CountWith(StorageKind kind, const ConjunctiveQuery& q,
                    const Database& db) {
@@ -78,7 +76,7 @@ TEST(StorageDifferential, CountAgreesAcrossBackendsOnRandomInstances) {
     const Database db = RandomDatabaseForQuery(q, rng, dopts);
 
     const uint64_t reference = CountWith(StorageKind::kBaseline, q, db);
-    for (StorageKind kind : kKinds) {
+    for (StorageKind kind : kAllStorageKinds) {
       EXPECT_EQ(CountWith(kind, q, db), reference)
           << "seed=" << seed << " storage=" << StorageKindName(kind)
           << " query=" << q.ToString();
@@ -94,7 +92,7 @@ TEST(StorageDifferential, CountAgreesAcrossBackendsOnRandomInstances) {
     const uint64_t dropped_reference =
         CountWith(StorageKind::kBaseline, q, dropped);
     EXPECT_EQ(dropped_reference, 0u);  // An empty conjunct kills Q().
-    for (StorageKind kind : kKinds) {
+    for (StorageKind kind : kAllStorageKinds) {
       EXPECT_EQ(CountWith(kind, q, dropped), dropped_reference)
           << "seed=" << seed << " storage=" << StorageKindName(kind);
     }
@@ -126,7 +124,7 @@ TEST(StorageDifferential, BagAnnotationsMergeIdenticallyAcrossBackends) {
     const auto plus = [](uint64_t a, uint64_t b) { return a + b; };
 
     std::optional<uint64_t> reference;
-    for (StorageKind kind : kKinds) {
+    for (StorageKind kind : kAllStorageKinds) {
       AnnotatedDatabase<uint64_t> annotated;
       annotated.relations.reserve(q.num_atoms());
       for (const Atom& atom : q.atoms()) {
@@ -164,7 +162,7 @@ TEST(StorageDifferential, ProbabilityAgreesAcrossBackends) {
     Evaluator baseline(StorageKind::kBaseline);
     auto reference = EvaluateProbability(baseline, q, tid);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (StorageKind kind : kKinds) {
+    for (StorageKind kind : kAllStorageKinds) {
       Evaluator evaluator(kind);
       auto result = EvaluateProbability(evaluator, q, tid);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -193,7 +191,7 @@ TEST(StorageDifferential, ResilienceIsBitIdenticalAcrossBackends) {
     Evaluator baseline(StorageKind::kBaseline);
     auto reference = ComputeResilience(baseline, q, exo, endo);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (StorageKind kind : kKinds) {
+    for (StorageKind kind : kAllStorageKinds) {
       Evaluator evaluator(kind);
       auto result = ComputeResilience(evaluator, q, exo, endo);
       ASSERT_TRUE(result.ok());
@@ -221,7 +219,7 @@ TEST(StorageDifferential, ShapleyValuesAreBitIdenticalAcrossBackends) {
     Evaluator baseline(StorageKind::kBaseline);
     auto reference = AllShapleyValues(baseline, q, exo, endo);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (StorageKind kind : kKinds) {
+    for (StorageKind kind : kAllStorageKinds) {
       Evaluator evaluator(kind);
       auto result = AllShapleyValues(evaluator, q, exo, endo);
       ASSERT_TRUE(result.ok());
@@ -267,7 +265,7 @@ TEST(StorageDifferential, ServiceBatchesMatchSingleThreadedPerBackend) {
     }
   }
 
-  for (StorageKind kind : kKinds) {
+  for (StorageKind kind : kAllStorageKinds) {
     EvalService service(
         EvalService::Options{.num_workers = 4, .storage = kind});
     EXPECT_EQ(service.storage(), kind);

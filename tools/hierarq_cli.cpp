@@ -3,10 +3,8 @@
 // Solves any of the library's problems from a query string and database
 // files in the text format of hierarq/data/loader.h.
 //
-// A global `--storage=flat|columnar|baseline|sharded|sharded_columnar`
-// flag (anywhere on the command line) selects the relation storage
-// backend every Algorithm 1 run stores its supports in; the default is
-// the build's compile-time policy (flat unless configured otherwise).
+// Every Algorithm 1 run stores its supports in the columnar layout
+// (data/columnar.h); parallel steps scatter into columnar shards.
 //
 // A global `--threads=N` flag (N >= 1) sets intra-query parallelism:
 // single-query commands and update-mode view materialization fan each
@@ -19,11 +17,10 @@
 // A global `--adaptive` flag replaces hand-picked knobs with per-step
 // decisions (core/adaptive.h): cheap stats plus a calibrated cost model
 // — refined by measured feedback on replays — choose each elimination
-// step's backend, thread count, and serial/parallel cutoff.
-// `--threads=N` then caps the fan-out (default: detected hardware
-// concurrency); `--storage` still governs base-relation annotation.
-// Results are identical to every fixed configuration (bit-identical for
-// exact monoids).
+// step's thread count and serial/parallel cutoff. `--threads=N` then
+// caps the fan-out (default: detected hardware concurrency). Results
+// are identical to every fixed configuration (bit-identical for exact
+// monoids).
 //
 // Observability (obs/): `--explain` prints an EXPLAIN ANALYZE tree after
 // the run — the elimination plan annotated with each step's backend,
@@ -99,7 +96,7 @@ namespace hierarq {
 namespace {
 
 /// Observability flags (--explain / --trace=FILE / --metrics), peeled off
-/// the command line alongside --storage/--threads/--adaptive.
+/// the command line alongside --threads/--adaptive.
 struct ObsOptions {
   bool explain = false;     ///< Print EXPLAIN ANALYZE after the run.
   std::string trace_path;   ///< Chrome trace-event JSON output, if set.
@@ -118,8 +115,7 @@ struct ClientOptions {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: hierarq_cli [--storage=flat|columnar|baseline|"
-               "sharded|sharded_columnar] [--threads=N] [--adaptive] "
+               "usage: hierarq_cli [--threads=N] [--adaptive] "
                "<command> <query> [files...]\n"
                "commands:\n"
                "  classify   <query>\n"
@@ -159,12 +155,10 @@ int Usage() {
                "  client <host:port> ping\n"
                "  client <host:port> shutdown\n"
                "options:\n"
-               "  --storage=flat|columnar|baseline|sharded|"
-               "sharded_columnar   relation storage backend (default: %s)\n"
                "  --threads=N   intra-query parallelism (default 1 = "
                "serial; N>1 shards big Rule 1/2 steps across N threads)\n"
                "  --adaptive    per-step adaptive execution: stats + cost "
-               "model pick backend/threads/cutoff per elimination step "
+               "model pick threads/cutoff per elimination step "
                "(--threads then caps the fan-out)\n"
                "  --explain     print EXPLAIN ANALYZE after the run: the "
                "plan tree with per-step backend/threads/rows/time (and the "
@@ -187,8 +181,7 @@ int Usage() {
                "time, plan-cache hit) after the result\n"
                "  --retries=N          (client) retry a query up to N "
                "times with jittered exponential backoff when the server's "
-               "admission queue is full (default 0 = fail fast)\n",
-               StorageKindName(kDefaultStorageKind));
+               "admission queue is full (default 0 = fail fast)\n");
   return 2;
 }
 
@@ -255,8 +248,8 @@ void PrintServiceStats(const EvalService& service, size_t num_workers) {
 }
 
 /// `hierarq_cli batch <solver> <queries-file> <dbs...> [workers]`.
-int RunBatch(int argc, char** argv, StorageKind storage, size_t threads,
-             bool adaptive, const ObsOptions& obs) {
+int RunBatch(int argc, char** argv, size_t threads, bool adaptive,
+             const ObsOptions& obs) {
   if (argc < 5) {
     return Usage();
   }
@@ -294,7 +287,6 @@ int RunBatch(int argc, char** argv, StorageKind storage, size_t threads,
   Dictionary dict;
   EvalService::Options service_options;
   service_options.num_workers = workers;
-  service_options.storage = storage;
   service_options.intra_query_threads = threads;
   service_options.adaptive = adaptive;
   EvalService service(service_options);
@@ -392,11 +384,11 @@ int RunBatch(int argc, char** argv, StorageKind storage, size_t threads,
 template <TwoMonoid M, typename Render>
 int RunUpdateLoop(const ConjunctiveQuery& query, VersionedDatabase db,
                   M monoid, typename IncrementalView<M>::Annotator annotator,
-                  StorageKind storage, size_t threads, bool adaptive,
-                  const ObsOptions& obs, Dictionary* dict, Render render) {
-  IncrementalEvaluator<M> evaluator(std::move(monoid), &db,
-                                    std::move(annotator),
-                                    {storage, threads, adaptive});
+                  size_t threads, bool adaptive, const ObsOptions& obs,
+                  Dictionary* dict, Render render) {
+  IncrementalEvaluator<M> evaluator(
+      std::move(monoid), &db, std::move(annotator),
+      {kDefaultStorageKind, threads, adaptive});
   auto handle = evaluator.Attach(query);
   if (!handle.ok()) {
     return Fail(handle.status());
@@ -846,8 +838,8 @@ int RunClient(int argc, char** argv, const ClientOptions& options) {
 }
 
 /// `hierarq_cli update <solver> <query> <db>`.
-int RunUpdate(int argc, char** argv, StorageKind storage, size_t threads,
-              bool adaptive, const ObsOptions& obs) {
+int RunUpdate(int argc, char** argv, size_t threads, bool adaptive,
+              const ObsOptions& obs) {
   if (argc != 5) {
     return Usage();
   }
@@ -873,8 +865,8 @@ int RunUpdate(int argc, char** argv, StorageKind storage, size_t threads,
     }
     return RunUpdateLoop(
         query, VersionedDatabase(*std::move(db)), CountMonoid{},
-        [](const Fact&, double) -> uint64_t { return 1; }, storage,
-        threads, adaptive, obs, &dict, [](uint64_t value) {
+        [](const Fact&, double) -> uint64_t { return 1; }, threads,
+        adaptive, obs, &dict, [](uint64_t value) {
           return "Q(D) = " + std::to_string(value);
         });
   }
@@ -897,12 +889,12 @@ int RunUpdate(int argc, char** argv, StorageKind storage, size_t threads,
   };
   if (solver == "pqe") {
     return RunUpdateLoop(query, VersionedDatabase(*db), ProbMonoid{},
-                         weight_annotator, storage, threads, adaptive, obs,
-                         &dict, render_double);
+                         weight_annotator, threads, adaptive, obs, &dict,
+                         render_double);
   }
   return RunUpdateLoop(query, VersionedDatabase(*db), ExpectationMonoid{},
-                       weight_annotator, storage, threads, adaptive, obs,
-                       &dict, render_double);
+                       weight_annotator, threads, adaptive, obs, &dict,
+                       render_double);
 }
 
 /// `snapshot <db> <dir>`: load a database file and commit it as a
@@ -963,11 +955,9 @@ int RunRecover(int argc, char** argv) {
 }
 
 int Run(int argc, char** argv) {
-  // Peel the global --storage / --threads flags off wherever they
-  // appear, leaving the positional arguments in place. Unknown backends,
-  // bad thread counts, and unknown --flags are errors, not silent
-  // fallbacks to defaults.
-  StorageKind storage = kDefaultStorageKind;
+  // Peel the global flags off wherever they appear, leaving the
+  // positional arguments in place. Bad thread counts and unknown --flags
+  // are errors, not silent fallbacks to defaults.
   size_t threads = 1;
   bool adaptive = false;
   ObsOptions obs;
@@ -976,19 +966,6 @@ int Run(int argc, char** argv) {
   args.reserve(static_cast<size_t>(argc));
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg(argv[i]);
-    if (arg.rfind("--storage=", 0) == 0) {
-      const auto parsed_kind = ParseStorageKind(arg.substr(10));
-      if (!parsed_kind.has_value()) {
-        std::fprintf(stderr,
-                     "error: unknown storage backend in '%s' (expected "
-                     "flat, columnar, baseline, sharded or "
-                     "sharded_columnar)\n",
-                     argv[i]);
-        return Usage();
-      }
-      storage = *parsed_kind;
-      continue;
-    }
     if (arg.rfind("--threads=", 0) == 0) {
       const auto parsed_threads = ParseInt64(arg.substr(10));
       if (!parsed_threads.ok() || *parsed_threads < 1) {
@@ -1111,10 +1088,10 @@ int Run(int argc, char** argv) {
   };
 
   if (command == "batch") {
-    return finish(RunBatch(argc, argv, storage, threads, adaptive, obs));
+    return finish(RunBatch(argc, argv, threads, adaptive, obs));
   }
   if (command == "update") {
-    return finish(RunUpdate(argc, argv, storage, threads, adaptive, obs));
+    return finish(RunUpdate(argc, argv, threads, adaptive, obs));
   }
   if (command == "client") {
     return finish(RunClient(argc, argv, client_options));
@@ -1139,7 +1116,6 @@ int Run(int argc, char** argv) {
   // and relation buffers. --threads applies to every Algorithm 1 run it
   // performs.
   Evaluator::Options evaluator_options;
-  evaluator_options.storage = storage;
   evaluator_options.intra_query_threads = threads;
   evaluator_options.adaptive = adaptive;
   Evaluator evaluator(evaluator_options);
@@ -1233,8 +1209,7 @@ int Run(int argc, char** argv) {
       return Usage();
     }
     auto result = MaximizeBagSet(query, *d, *dr,
-                                 static_cast<size_t>(*budget),
-                                 /*costs=*/nullptr, storage);
+                                 static_cast<size_t>(*budget));
     if (!result.ok()) {
       return Fail(result.status());
     }

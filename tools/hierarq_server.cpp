@@ -29,8 +29,6 @@
 //   --submitters=N     async submitter threads (default 2)
 //   --queue-limit=N    admission queue depth (default 64; full = reject)
 //   --deadline-ms=N    default per-request deadline (0 = unbounded)
-//   --storage=KIND     relation storage backend (flat|columnar|baseline|
-//                      sharded|sharded_columnar)
 //   --threads=N        intra-query parallelism for single huge replays
 //   --adaptive         per-step adaptive execution
 //   --slow-query-ms=N  log any query at or over N ms of evaluation wall
@@ -56,7 +54,6 @@
 #include <thread>
 
 #include "hierarq/data/loader.h"
-#include "hierarq/data/storage.h"
 #include "hierarq/incremental/versioned_database.h"
 #include "hierarq/net/server.h"
 #include "hierarq/obs/log.h"
@@ -74,8 +71,7 @@ int Usage() {
       "                      [--max-connections=N]\n"
       "                      [--workers=N] [--submitters=N] "
       "[--queue-limit=N]\n"
-      "                      [--deadline-ms=N] [--storage=KIND] "
-      "[--threads=N]\n"
+      "                      [--deadline-ms=N] [--threads=N]\n"
       "                      [--adaptive] [--slow-query-ms=N] "
       "[--log-json]\n");
   return 2;
@@ -103,7 +99,6 @@ int Run(int argc, char** argv) {
   uint64_t snapshot_every = 256;
   bool tid = false;
   net::HierarqServer::Options options;
-  StorageKind storage = kDefaultStorageKind;
   size_t threads = 1;
   bool adaptive = false;
   bool log_json = false;
@@ -173,14 +168,6 @@ int Run(int argc, char** argv) {
         return Usage();
       }
       options.async.default_deadline_ms = static_cast<uint64_t>(n);
-    } else if (arg.rfind("--storage=", 0) == 0) {
-      const auto parsed_kind = ParseStorageKind(arg.substr(10));
-      if (!parsed_kind.has_value()) {
-        std::fprintf(stderr, "error: unknown storage backend in '%s'\n",
-                     argv[i]);
-        return Usage();
-      }
-      storage = *parsed_kind;
     } else if (arg.rfind("--threads=", 0) == 0) {
       if (!parse_count(arg.substr(10), 1, &n)) {
         std::fprintf(stderr, "error: bad thread count in '%s'\n", argv[i]);
@@ -207,7 +194,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: --db=FILE (or --data-dir=DIR) is required\n");
     return Usage();
   }
-  options.async.service.storage = storage;
   options.async.service.intra_query_threads = threads;
   options.async.service.adaptive = adaptive;
 
@@ -274,6 +260,9 @@ int Run(int argc, char** argv) {
 
   net::HierarqServer server(options, std::move(db), std::move(endogenous),
                             &dict);
+  // Read before Start(): once the server listens, a connection may be
+  // applying a delta to the database.
+  const size_t num_facts = server.database().NumFacts();
   if (const Status started = server.Start(); !started.ok()) {
     return Fail(started);
   }
@@ -298,7 +287,7 @@ int Run(int argc, char** argv) {
   log.Info("listening",
            {{"addr", "127.0.0.1:" + std::to_string(server.port())},
             {"db", db_path},
-            {"facts", std::to_string(server.database().NumFacts())},
+            {"facts", std::to_string(num_facts)},
             {"slow_query_ms", std::to_string(options.slow_query_ms)}});
 
   server.Wait();
