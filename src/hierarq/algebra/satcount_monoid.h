@@ -22,8 +22,11 @@
 ///   * `uint64_t`  — counts mod 2^64; fast, exact while |Dn| is small;
 ///   * `double`    — floating approximation for quick estimation.
 /// Vectors are truncated to |Dn|+1 entries; entry k of a convolution reads
-/// only entries ≤ k of the operands, so truncation is lossless and each
-/// operation costs O(|Dn|²) (Theorem 5.16).
+/// only entries ≤ k of the operands, so truncation is lossless. A subtree
+/// holding e endogenous facts is zero above k = e, so `Plus`/`Times` loop
+/// only over each operand's support d (one past its highest non-zero k):
+/// an operation costs d_x·d_y products, at most O(|Dn|²) (Theorem 5.16),
+/// and O(1) when an operand is exogenous-only (d = 1).
 
 #include <cstdint>
 #include <string>
@@ -90,8 +93,10 @@ class SatCountMonoid {
     CheckShape(x);
     CheckShape(y);
     value_type out = Empty();
-    for (size_t k1 = 0; k1 < length_; ++k1) {
-      for (size_t k2 = 0; k1 + k2 < length_; ++k2) {
+    const size_t dx = Support(x);
+    const size_t dy = Support(y);
+    for (size_t k1 = 0; k1 < dx; ++k1) {
+      for (size_t k2 = 0; k2 < dy && k1 + k2 < length_; ++k2) {
         const size_t k = k1 + k2;
         out.on_false[k] += x.on_false[k1] * y.on_false[k2];
         out.on_true[k] += x.on_true[k1] * y.on_true[k2] +
@@ -108,8 +113,10 @@ class SatCountMonoid {
     CheckShape(x);
     CheckShape(y);
     value_type out = Empty();
-    for (size_t k1 = 0; k1 < length_; ++k1) {
-      for (size_t k2 = 0; k1 + k2 < length_; ++k2) {
+    const size_t dx = Support(x);
+    const size_t dy = Support(y);
+    for (size_t k1 = 0; k1 < dx; ++k1) {
+      for (size_t k2 = 0; k2 < dy && k1 + k2 < length_; ++k2) {
         const size_t k = k1 + k2;
         out.on_true[k] += x.on_true[k1] * y.on_true[k2];
         out.on_false[k] += x.on_false[k1] * y.on_false[k2] +
@@ -149,6 +156,26 @@ class SatCountMonoid {
   void CheckShape(const value_type& v) const {
     HIERARQ_CHECK_EQ(v.on_false.size(), length_);
     HIERARQ_CHECK_EQ(v.on_true.size(), length_);
+  }
+
+  /// One past the highest k with a non-zero entry in either polarity (0
+  /// for the all-zero vector). Entries at or above it add nothing to a
+  /// convolution, so `Plus`/`Times` skip them.
+  static size_t Support(const value_type& v) {
+    size_t d = v.on_false.size();
+    while (d > 0 && IsZeroCount(v.on_false[d - 1]) &&
+           IsZeroCount(v.on_true[d - 1])) {
+      --d;
+    }
+    return d;
+  }
+
+  static bool IsZeroCount(const Count& c) {
+    if constexpr (std::is_same_v<Count, BigUint>) {
+      return c.IsZero();
+    } else {
+      return c == Count(0);
+    }
   }
 
   static std::string CountToString(const Count& c) {

@@ -100,6 +100,16 @@ Result<std::vector<BigUint>> CountSat(const ConjunctiveQuery& query,
   return CountSat(evaluator, query, exogenous, endogenous);
 }
 
+Result<std::vector<BigUint>> CountSatWithout(Evaluator& evaluator,
+                                             const ConjunctiveQuery& query,
+                                             const Database& exogenous,
+                                             const Database& endogenous,
+                                             const Fact& fact) {
+  Database endo_minus = endogenous;
+  endo_minus.EraseFact(fact);
+  return CountSat(evaluator, query, exogenous, endo_minus);
+}
+
 Result<Fraction> ShapleyValue(Evaluator& evaluator,
                               const ConjunctiveQuery& query,
                               const Database& exogenous,
@@ -108,30 +118,13 @@ Result<Fraction> ShapleyValue(Evaluator& evaluator,
     return Status::InvalidArgument("Shapley value requested for a fact that "
                                    "is not endogenous: " + fact.ToString());
   }
-  const size_t n = endogenous.NumFacts();
-
-  // Dn \ {f} and Dx ∪ {f}.
-  Database endo_minus = endogenous;
-  endo_minus.EraseFact(fact);
-  Database exo_plus = exogenous;
-  HIERARQ_RETURN_NOT_OK(exo_plus.AddFact(fact.relation, fact.tuple).status());
-
+  HIERARQ_ASSIGN_OR_RETURN(std::vector<BigUint> full,
+                           CountSat(evaluator, query, exogenous, endogenous));
+  std::vector<std::vector<BigUint>> without(1);
   HIERARQ_ASSIGN_OR_RETURN(
-      std::vector<BigUint> with_f,
-      CountSat(evaluator, query, exo_plus, endo_minus));
-  HIERARQ_ASSIGN_OR_RETURN(
-      std::vector<BigUint> without_f,
-      CountSat(evaluator, query, exogenous, endo_minus));
-
-  // Σ_k k!(n-k-1)! (A_k − B_k), over denominator n!.
-  BigInt numerator(0);
-  for (size_t k = 0; k + 1 <= n; ++k) {
-    const BigUint weight =
-        BigUint::Factorial(k) * BigUint::Factorial(n - k - 1);
-    const BigInt delta = BigInt(with_f[k]) - BigInt(without_f[k]);
-    numerator += BigInt(weight) * delta;
-  }
-  return Fraction(numerator, BigInt(BigUint::Factorial(n)));
+      without.front(),
+      CountSatWithout(evaluator, query, exogenous, endogenous, fact));
+  return std::move(ShapleyFromSatCounts(full, without).front());
 }
 
 Result<Fraction> ShapleyValue(const ConjunctiveQuery& query,
@@ -144,12 +137,25 @@ Result<Fraction> ShapleyValue(const ConjunctiveQuery& query,
 Result<std::vector<std::pair<Fact, Fraction>>> AllShapleyValues(
     Evaluator& evaluator, const ConjunctiveQuery& query,
     const Database& exogenous, const Database& endogenous) {
+  const std::vector<Fact> facts = endogenous.AllFacts();
   std::vector<std::pair<Fact, Fraction>> out;
-  for (const Fact& fact : endogenous.AllFacts()) {
+  if (facts.empty()) {
+    return out;
+  }
+  HIERARQ_ASSIGN_OR_RETURN(std::vector<BigUint> full,
+                           CountSat(evaluator, query, exogenous, endogenous));
+  std::vector<std::vector<BigUint>> without;
+  without.reserve(facts.size());
+  for (const Fact& fact : facts) {
     HIERARQ_ASSIGN_OR_RETURN(
-        Fraction value,
-        ShapleyValue(evaluator, query, exogenous, endogenous, fact));
-    out.emplace_back(fact, std::move(value));
+        std::vector<BigUint> without_f,
+        CountSatWithout(evaluator, query, exogenous, endogenous, fact));
+    without.push_back(std::move(without_f));
+  }
+  std::vector<Fraction> values = ShapleyFromSatCounts(full, without);
+  out.reserve(facts.size());
+  for (size_t i = 0; i < facts.size(); ++i) {
+    out.emplace_back(facts[i], std::move(values[i]));
   }
   return out;
 }
@@ -159,6 +165,42 @@ Result<std::vector<std::pair<Fact, Fraction>>> AllShapleyValues(
     const Database& endogenous) {
   Evaluator evaluator;
   return AllShapleyValues(evaluator, query, exogenous, endogenous);
+}
+
+std::vector<Fraction> ShapleyFromSatCounts(
+    const std::vector<BigUint>& full,
+    const std::vector<std::vector<BigUint>>& without) {
+  HIERARQ_CHECK(!full.empty());
+  const size_t n = full.size() - 1;
+  // factorial[i] = i!, so weight k is factorial[k] · factorial[n−k−1].
+  std::vector<BigUint> factorial(n + 1, BigUint(1));
+  for (size_t i = 1; i <= n; ++i) {
+    factorial[i] = factorial[i - 1] * BigUint(i);
+  }
+  std::vector<BigInt> weights;
+  weights.reserve(n);
+  for (size_t k = 0; k < n; ++k) {
+    weights.emplace_back(factorial[k] * factorial[n - k - 1]);
+  }
+  const BigInt denominator(factorial[n]);
+
+  std::vector<Fraction> out;
+  out.reserve(without.size());
+  for (const std::vector<BigUint>& without_f : without) {
+    HIERARQ_CHECK_EQ(without_f.size(), n);
+    // Σ_k k!(n−k−1)! (full(k+1) − without_f(k+1) − without_f(k)), over
+    // denominator n!; without_f(n) is 0.
+    BigInt numerator(0);
+    for (size_t k = 0; k < n; ++k) {
+      BigInt delta = BigInt(full[k + 1]) - BigInt(without_f[k]);
+      if (k + 1 < n) {
+        delta -= BigInt(without_f[k + 1]);
+      }
+      numerator += weights[k] * delta;
+    }
+    out.emplace_back(numerator, denominator);
+  }
+  return out;
 }
 
 }  // namespace hierarq

@@ -500,8 +500,8 @@ Status HierarqServer::EvaluateSolver(EvalService& service,
       return Status::OK();
     }
     case SolverKind::kShapley: {
-      auto values =
-          AllShapleyValues(service, query, db_.facts(), endogenous_, &cancel);
+      auto values = AllShapleyValues(service, query, db_.facts(), endogenous_,
+                                     &cancel, stats);
       if (!values.ok()) {
         return values.status();
       }

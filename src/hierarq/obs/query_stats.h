@@ -86,6 +86,21 @@ struct QueryStats {
     }
   }
 
+  /// Adds `other`'s row, step and checkpoint counters — how a caller
+  /// that fans one request out over several collectors (one per run)
+  /// folds them into the request's stats. Timings and `plan_cache_hit`
+  /// are the caller's to set.
+  void AddCounters(const QueryStats& other) {
+    rule1_rows_scanned += other.rule1_rows_scanned;
+    rule1_rows_emitted += other.rule1_rows_emitted;
+    rule2_rows_scanned += other.rule2_rows_scanned;
+    rule2_rows_emitted += other.rule2_rows_emitted;
+    steps_total += other.steps_total;
+    steps_serial += other.steps_serial;
+    steps_parallel += other.steps_parallel;
+    cancel_checkpoints += other.cancel_checkpoints;
+  }
+
   /// key=value rendering, single line — the form the slow-query log and
   /// `hierarq_cli client --stats` print.
   std::string Render() const {

@@ -8,6 +8,7 @@
 #include "hierarq/core/expectation.h"
 #include "hierarq/core/resilience.h"
 #include "hierarq/core/shapley.h"
+#include "hierarq/obs/trace.h"
 
 namespace hierarq {
 
@@ -80,29 +81,60 @@ std::vector<Result<ProvenanceResult>> ComputeProvenanceBatch(
 Result<std::vector<std::pair<Fact, Fraction>>> AllShapleyValues(
     EvalService& service, const ConjunctiveQuery& query,
     const Database& exogenous, const Database& endogenous,
-    const CancelToken* cancel) {
+    const CancelToken* cancel, obs::QueryStats* stats) {
   const std::vector<Fact> facts = endogenous.AllFacts();
-  std::vector<std::optional<Result<Fraction>>> slots(facts.size());
-  service.pool().ParallelFor(facts.size(), [&](size_t worker, size_t i) {
+  std::vector<std::pair<Fact, Fraction>> out;
+  if (facts.empty()) {
+    return out;
+  }
+  // Run 0 is #Sat(Dx, Dn); run i + 1 is #Sat(Dx, Dn \ {facts[i]}).
+  const size_t runs = facts.size() + 1;
+  std::vector<std::optional<Result<std::vector<BigUint>>>> slots(runs);
+  // A collector is single-threaded, so each run fills its own and the
+  // caller sums them once the fan-out is done.
+  std::vector<obs::QueryStats> run_stats(stats != nullptr ? runs : 0);
+  uint64_t start_ns = 0;
+  if (stats != nullptr) {
+    stats->plan_cache_hit = service.plan_cache().Contains(query);
+    start_ns = obs::Tracer::NowNs();
+  }
+  service.pool().ParallelFor(runs, [&](size_t worker, size_t i) {
     // Absorb CancelledError inside the task (pool tasks must not throw)
     // and turn it into a per-slot status.
     try {
       ScopedCancel watch(cancel);
-      slots[i] = ShapleyValue(service.worker_evaluator(worker), query,
-                              exogenous, endogenous, facts[i]);
+      obs::ScopedQueryStats accounting(stats != nullptr ? &run_stats[i]
+                                                        : nullptr);
+      Evaluator& evaluator = service.worker_evaluator(worker);
+      slots[i] = i == 0 ? CountSat(evaluator, query, exogenous, endogenous)
+                        : CountSatWithout(evaluator, query, exogenous,
+                                          endogenous, facts[i - 1]);
     } catch (const CancelledError&) {
       slots[i] = Status::DeadlineExceeded(
           "deadline expired during Shapley fan-out");
     }
   });
+  if (stats != nullptr) {
+    for (const obs::QueryStats& run : run_stats) {
+      stats->AddCounters(run);
+    }
+    stats->exec_ns = obs::Tracer::NowNs() - start_ns;
+  }
 
-  std::vector<std::pair<Fact, Fraction>> out;
+  for (const std::optional<Result<std::vector<BigUint>>>& slot : slots) {
+    if (!slot->ok()) {
+      return slot->status();
+    }
+  }
+  std::vector<std::vector<BigUint>> without;
+  without.reserve(facts.size());
+  for (size_t i = 1; i < runs; ++i) {
+    without.push_back(std::move(**slots[i]));
+  }
+  std::vector<Fraction> values = ShapleyFromSatCounts(**slots[0], without);
   out.reserve(facts.size());
   for (size_t i = 0; i < facts.size(); ++i) {
-    if (!slots[i]->ok()) {
-      return slots[i]->status();
-    }
-    out.emplace_back(facts[i], std::move(**slots[i]));
+    out.emplace_back(facts[i], std::move(values[i]));
   }
   return out;
 }

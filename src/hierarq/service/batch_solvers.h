@@ -12,7 +12,7 @@
 ///     out across the workers.
 ///   * *Fan-out* batches (provenance, Shapley): the annotation is
 ///     query-local (provenance numbers each query's facts from zero) or
-///     the databases are perturbed per run (Shapley evaluates 2·|Dn|
+///     the databases are perturbed per run (Shapley evaluates |Dn|+1
 ///     Algorithm 1 instances), so the win is spreading the independent
 ///     runs across the pool, each on a worker-owned Evaluator behind the
 ///     shared plan cache.
@@ -27,6 +27,7 @@
 #include "hierarq/core/provenance_pipeline.h"
 #include "hierarq/data/database.h"
 #include "hierarq/data/tid_database.h"
+#include "hierarq/obs/query_stats.h"
 #include "hierarq/query/query.h"
 #include "hierarq/service/eval_service.h"
 #include "hierarq/util/fraction.h"
@@ -67,15 +68,18 @@ std::vector<Result<ProvenanceResult>> ComputeProvenanceBatch(
     EvalService& service, const std::vector<const ConjunctiveQuery*>& queries,
     const Database& db);
 
-/// Shapley values of all endogenous facts (Theorem 5.16) with the per-fact
-/// #Sat computations — 2·|Dn| full Algorithm 1 runs — spread across the
-/// service's workers. Results in `endogenous.AllFacts()` order; matches
-/// the single-threaded `AllShapleyValues` exactly. With `cancel` set, the
-/// whole call fails kDeadlineExceeded if any per-fact run is cut off.
+/// Shapley values of all endogenous facts (Theorem 5.16) with the #Sat
+/// computations — |Dn|+1 full Algorithm 1 runs: #Sat(Dx, Dn) and one
+/// #Sat(Dx, Dn \ {f}) per fact — spread across the service's workers.
+/// Results in `endogenous.AllFacts()` order; matches the single-threaded
+/// `AllShapleyValues` exactly. With `cancel` set, the whole call fails
+/// kDeadlineExceeded if any run is cut off. With `stats` set, it receives
+/// the runs' summed step, row and checkpoint counters, the fan-out's wall
+/// time as `exec_ns`, and whether the plan was already cached.
 Result<std::vector<std::pair<Fact, Fraction>>> AllShapleyValues(
     EvalService& service, const ConjunctiveQuery& query,
     const Database& exogenous, const Database& endogenous,
-    const CancelToken* cancel = nullptr);
+    const CancelToken* cancel = nullptr, obs::QueryStats* stats = nullptr);
 
 }  // namespace hierarq
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
+#include <vector>
 
 #include "hierarq/util/logging.h"
 
@@ -99,14 +100,21 @@ int BigUint::Compare(const BigUint& other) const {
 
 BigUint& BigUint::operator+=(const BigUint& other) {
   const size_t n = std::max(limbs_.size(), other.limbs_.size());
+  const size_t m = other.limbs_.size();
   limbs_.resize(n, 0);
+  // Raw pointers keep InlinedVector's per-access bounds checks out of the
+  // #Sat convolution's inner loop. They are taken after the resize, which
+  // may move this value's limbs; when `other` is *this, n == m and
+  // nothing moves.
+  uint64_t* out = limbs_.data();
+  const uint64_t* rhs = other.limbs_.data();
   unsigned __int128 carry = 0;
   for (size_t i = 0; i < n; ++i) {
-    unsigned __int128 sum = carry + limbs_[i];
-    if (i < other.limbs_.size()) {
-      sum += other.limbs_[i];
+    unsigned __int128 sum = carry + out[i];
+    if (i < m) {
+      sum += rhs[i];
     }
-    limbs_[i] = static_cast<uint64_t>(sum);
+    out[i] = static_cast<uint64_t>(sum);
     carry = sum >> 64;
   }
   if (carry != 0) {
@@ -155,18 +163,22 @@ BigUint BigUint::operator*(const BigUint& other) const {
   if (IsZero() || other.IsZero()) {
     return BigUint();
   }
+  const size_t na = limbs_.size();
+  const size_t nb = other.limbs_.size();
   BigUint out;
-  out.limbs_.assign(limbs_.size() + other.limbs_.size(), 0);
-  for (size_t i = 0; i < limbs_.size(); ++i) {
+  out.limbs_.resize(na + nb, 0);
+  const uint64_t* a = limbs_.data();
+  const uint64_t* b = other.limbs_.data();
+  uint64_t* product = out.limbs_.data();
+  for (size_t i = 0; i < na; ++i) {
     uint64_t carry = 0;
-    for (size_t j = 0; j < other.limbs_.size(); ++j) {
-      unsigned __int128 cur =
-          static_cast<unsigned __int128>(limbs_[i]) * other.limbs_[j] +
-          out.limbs_[i + j] + carry;
-      out.limbs_[i + j] = static_cast<uint64_t>(cur);
+    for (size_t j = 0; j < nb; ++j) {
+      unsigned __int128 cur = static_cast<unsigned __int128>(a[i]) * b[j] +
+                              product[i + j] + carry;
+      product[i + j] = static_cast<uint64_t>(cur);
       carry = static_cast<uint64_t>(cur >> 64);
     }
-    out.limbs_[i + other.limbs_.size()] += carry;
+    product[i + nb] += carry;
   }
   out.Normalize();
   return out;
@@ -180,7 +192,7 @@ BigUint BigUint::operator<<(uint64_t bits) const {
   const size_t limb_shift = bits / 64;
   const unsigned bit_shift = static_cast<unsigned>(bits % 64);
   BigUint out;
-  out.limbs_.assign(limbs_.size() + limb_shift + 1, 0);
+  out.limbs_.resize(limbs_.size() + limb_shift + 1, 0);
   for (size_t i = 0; i < limbs_.size(); ++i) {
     out.limbs_[i + limb_shift] |= bit_shift == 0 ? limbs_[i]
                                                  : (limbs_[i] << bit_shift);
@@ -199,7 +211,7 @@ BigUint BigUint::operator>>(uint64_t bits) const {
     return BigUint();
   }
   BigUint out;
-  out.limbs_.assign(limbs_.size() - limb_shift, 0);
+  out.limbs_.resize(limbs_.size() - limb_shift, 0);
   for (size_t i = 0; i < out.limbs_.size(); ++i) {
     out.limbs_[i] = limbs_[i + limb_shift] >> bit_shift;
     if (bit_shift != 0 && i + limb_shift + 1 < limbs_.size()) {
@@ -213,7 +225,7 @@ BigUint BigUint::operator>>(uint64_t bits) const {
 BigUint BigUint::DivModSmall(uint64_t divisor, uint64_t* remainder) const {
   HIERARQ_CHECK_NE(divisor, 0u);
   BigUint quotient;
-  quotient.limbs_.assign(limbs_.size(), 0);
+  quotient.limbs_.resize(limbs_.size(), 0);
   unsigned __int128 rem = 0;
   for (size_t i = limbs_.size(); i-- > 0;) {
     const unsigned __int128 cur = (rem << 64) | limbs_[i];

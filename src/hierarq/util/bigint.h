@@ -10,6 +10,8 @@
 /// the counting monoid and for exact Shapley values (whose denominators are
 /// |Dn|! — astronomically large). Representation: little-endian vector of
 /// 64-bit limbs with no trailing zero limbs (canonical; zero = no limbs).
+/// The first two limbs live inline, so a value below 2^128 — every #Sat
+/// count of a small endogenous database — never touches the heap.
 ///
 /// Only the operations hierarq needs are implemented: add, subtract,
 /// schoolbook multiply, bit shifts, binary GCD, small-divisor divmod (for
@@ -17,8 +19,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "hierarq/util/inlined_vector.h"
 #include "hierarq/util/result.h"
 
 namespace hierarq {
@@ -92,7 +94,7 @@ class BigUint {
  private:
   void Normalize();
 
-  std::vector<uint64_t> limbs_;
+  InlinedVector<uint64_t, 2> limbs_;
 };
 
 /// Arbitrary-precision signed integer: sign-magnitude over BigUint.

@@ -147,16 +147,74 @@ TEST(BagMaxMonoid, SaturationDetection) {
   EXPECT_EQ(SatMulU64(2, 3), 6u);
 }
 
+// A random vector that is zero above a random support (0 = all zero up
+// to vector_length() = dense), so the laws also run on operands whose
+// supports differ — the case the support-bounded convolutions skip.
 template <typename Count>
 SatCountVec<Count> RandomSatVec(Rng& rng, const SatCountMonoid<Count>& m) {
   SatCountVec<Count> v;
   v.on_false.resize(m.vector_length(), Count(0));
   v.on_true.resize(m.vector_length(), Count(0));
-  for (size_t i = 0; i < m.vector_length(); ++i) {
+  const size_t support = static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(m.vector_length())));
+  for (size_t i = 0; i < support; ++i) {
     v.on_false[i] = Count(static_cast<uint64_t>(rng.UniformInt(0, 5)));
     v.on_true[i] = Count(static_cast<uint64_t>(rng.UniformInt(0, 5)));
   }
   return v;
+}
+
+// Eqs. (15)/(16) verbatim: every index pair of the full-length vectors,
+// truncated at vector_length(). `disjunction` picks Plus (true ← any
+// true) or Times (true ← both true).
+template <typename Count>
+SatCountVec<Count> NaiveConvolution(const SatCountVec<Count>& x,
+                                    const SatCountVec<Count>& y,
+                                    bool disjunction) {
+  const size_t length = x.on_false.size();
+  SatCountVec<Count> out;
+  out.on_false.assign(length, Count(0));
+  out.on_true.assign(length, Count(0));
+  for (size_t k1 = 0; k1 < length; ++k1) {
+    for (size_t k2 = 0; k1 + k2 < length; ++k2) {
+      const Count ff = x.on_false[k1] * y.on_false[k2];
+      const Count ft = x.on_false[k1] * y.on_true[k2];
+      const Count tf = x.on_true[k1] * y.on_false[k2];
+      const Count tt = x.on_true[k1] * y.on_true[k2];
+      if (disjunction) {
+        out.on_false[k1 + k2] += ff;
+        out.on_true[k1 + k2] += ft + tf + tt;
+      } else {
+        out.on_false[k1 + k2] += ff + ft + tf;
+        out.on_true[k1 + k2] += tt;
+      }
+    }
+  }
+  return out;
+}
+
+template <typename Count>
+void CheckAgainstNaiveConvolution(uint64_t seed) {
+  Rng rng(seed);
+  for (size_t n : {0, 1, 2, 5, 12}) {
+    const SatCountMonoid<Count> m(n);
+    for (int round = 0; round < 60; ++round) {
+      const SatCountVec<Count> x = RandomSatVec(rng, m);
+      const SatCountVec<Count> y = RandomSatVec(rng, m);
+      EXPECT_EQ(m.Plus(x, y), NaiveConvolution(x, y, /*disjunction=*/true))
+          << "n=" << n << " x=" << m.ToString(x) << " y=" << m.ToString(y);
+      EXPECT_EQ(m.Times(x, y), NaiveConvolution(x, y, /*disjunction=*/false))
+          << "n=" << n << " x=" << m.ToString(x) << " y=" << m.ToString(y);
+    }
+  }
+}
+
+TEST(SatCountMonoid, MatchesNaiveConvolutionUint64) {
+  CheckAgainstNaiveConvolution<uint64_t>(41);
+}
+
+TEST(SatCountMonoid, MatchesNaiveConvolutionBigUint) {
+  CheckAgainstNaiveConvolution<BigUint>(42);
 }
 
 TEST(SatCountMonoid, LawsUint64) {

@@ -2,13 +2,94 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "hierarq/util/bigint.h"
 #include "hierarq/util/random.h"
 
 namespace hierarq {
 namespace {
+
+// An independent reference for multi-limb arithmetic: little-endian
+// base-2^32 digits with schoolbook add and multiply — a different radix
+// and code path from BigUint's 64-bit limbs.
+using Digits = std::vector<uint32_t>;
+
+void TrimDigits(Digits* d) {
+  while (!d->empty() && d->back() == 0) {
+    d->pop_back();
+  }
+}
+
+Digits ToDigits(BigUint v) {
+  Digits out;
+  while (!v.IsZero()) {
+    out.push_back(static_cast<uint32_t>(v.Low64()));
+    v = v >> 32;
+  }
+  return out;
+}
+
+Digits AddDigits(const Digits& a, const Digits& b) {
+  Digits out(std::max(a.size(), b.size()) + 1, 0);
+  uint64_t carry = 0;
+  for (size_t i = 0; i < out.size(); ++i) {
+    const uint64_t sum = carry + (i < a.size() ? a[i] : 0) +
+                         (i < b.size() ? b[i] : 0);
+    out[i] = static_cast<uint32_t>(sum);
+    carry = sum >> 32;
+  }
+  TrimDigits(&out);
+  return out;
+}
+
+Digits MulDigits(const Digits& a, const Digits& b) {
+  Digits out(a.size() + b.size() + 1, 0);
+  for (size_t i = 0; i < a.size(); ++i) {
+    uint64_t carry = 0;
+    for (size_t j = 0; j < b.size(); ++j) {
+      const uint64_t cur = uint64_t{a[i]} * b[j] + out[i + j] + carry;
+      out[i + j] = static_cast<uint32_t>(cur);
+      carry = cur >> 32;
+    }
+    for (size_t k = i + b.size(); carry != 0; ++k) {
+      const uint64_t cur = uint64_t{out[k]} + carry;
+      out[k] = static_cast<uint32_t>(cur);
+      carry = cur >> 32;
+    }
+  }
+  TrimDigits(&out);
+  return out;
+}
+
+// -1/0/+1 as a <,==,> b, on canonical (trimmed) digit vectors.
+int CompareDigits(const Digits& a, const Digits& b) {
+  if (a.size() != b.size()) {
+    return a.size() < b.size() ? -1 : 1;
+  }
+  for (size_t i = a.size(); i-- > 0;) {
+    if (a[i] != b[i]) {
+      return a[i] < b[i] ? -1 : 1;
+    }
+  }
+  return 0;
+}
+
+// A value of exactly `limbs` 64-bit limbs (top limb non-zero).
+BigUint RandomWithLimbs(Rng& rng, size_t limbs) {
+  BigUint out;
+  for (size_t i = 0; i < limbs; ++i) {
+    uint64_t limb = rng.Next();
+    if (i == 0 && limb == 0) {
+      limb = 1;
+    }
+    out = (out << 64) + BigUint(limb);
+  }
+  return out;
+}
 
 TEST(BigUint, ZeroBasics) {
   BigUint z;
@@ -188,6 +269,93 @@ TEST(BigUint, AdditionCommutesAndAssociates) {
     EXPECT_EQ((a * b) * c, a * (b * c));
     EXPECT_EQ(a * (b + c), a * b + a * c);
   }
+}
+
+TEST(BigUint, OneToThreeLimbsAgainstDigitReference) {
+  // One and two limbs fit the inline buffer, three spill to the heap;
+  // every pairing runs through +, +=, *, *=, - and Compare.
+  Rng rng(123);
+  for (int i = 0; i < 400; ++i) {
+    const size_t la = 1 + static_cast<size_t>(rng.Next() % 3);
+    const size_t lb = 1 + static_cast<size_t>(rng.Next() % 3);
+    const BigUint a = RandomWithLimbs(rng, la);
+    const BigUint b = RandomWithLimbs(rng, lb);
+    ASSERT_EQ(a.LimbCount(), la);
+    ASSERT_EQ(b.LimbCount(), lb);
+    const Digits da = ToDigits(a);
+    const Digits db = ToDigits(b);
+    EXPECT_EQ(ToDigits(a + b), AddDigits(da, db));
+    EXPECT_EQ(ToDigits(a * b), MulDigits(da, db));
+    BigUint sum = a;
+    sum += b;
+    EXPECT_EQ(sum, a + b);
+    BigUint product = a;
+    product *= b;
+    EXPECT_EQ(product, a * b);
+    EXPECT_EQ((a + b) - b, a);
+    EXPECT_EQ(a.Compare(b), CompareDigits(da, db));
+    // Aliased operands: x += x and x *= x.
+    BigUint twice = a;
+    twice += twice;
+    EXPECT_EQ(ToDigits(twice), AddDigits(da, da));
+    BigUint square = a;
+    square *= square;
+    EXPECT_EQ(ToDigits(square), MulDigits(da, da));
+    auto parsed = BigUint::FromString(a.ToString());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(*parsed, a);
+  }
+}
+
+TEST(BigUint, CopyMoveAndAssignAcrossInlineAndHeapLimbs) {
+  const BigUint one_limb(0x1234);
+  const BigUint two_limbs = BigUint::PowerOfTwo(100) + BigUint(7);
+  const BigUint three_limbs = BigUint::PowerOfTwo(150) + BigUint(9);
+  ASSERT_EQ(one_limb.LimbCount(), 1u);
+  ASSERT_EQ(two_limbs.LimbCount(), 2u);
+  ASSERT_EQ(three_limbs.LimbCount(), 3u);
+  const std::vector<BigUint> values = {BigUint(), one_limb, two_limbs,
+                                       three_limbs};
+  for (const BigUint& from : values) {
+    for (const BigUint& to : values) {
+      const BigUint copied(from);
+      EXPECT_EQ(copied, from);
+      BigUint assigned = to;
+      assigned = from;
+      EXPECT_EQ(assigned, from);
+
+      BigUint source = from;
+      const BigUint moved(std::move(source));
+      EXPECT_EQ(moved, from);
+      source = to;  // A moved-from value is reusable.
+      EXPECT_EQ(source, to);
+
+      BigUint target = to;
+      BigUint donor = from;
+      target = std::move(donor);
+      EXPECT_EQ(target, from);
+      donor = to;
+      donor += from;
+      EXPECT_EQ(ToDigits(donor), AddDigits(ToDigits(to), ToDigits(from)));
+
+      BigUint swapped_a = from;
+      BigUint swapped_b = to;
+      std::swap(swapped_a, swapped_b);
+      EXPECT_EQ(swapped_a, to);
+      EXPECT_EQ(swapped_b, from);
+    }
+  }
+  BigUint self = three_limbs;
+  const BigUint& alias = self;
+  self = alias;
+  EXPECT_EQ(self, three_limbs);
+  // Growing past the inline buffer and shrinking back into it.
+  BigUint grown = one_limb;
+  grown *= three_limbs;
+  EXPECT_EQ(grown.LimbCount(), 3u);
+  grown -= one_limb * BigUint::PowerOfTwo(150);
+  EXPECT_EQ(grown, one_limb * BigUint(9));
+  EXPECT_EQ(grown.LimbCount(), 1u);
 }
 
 TEST(BigInt, SignHandling) {

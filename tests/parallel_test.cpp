@@ -154,7 +154,7 @@ TEST(ParallelDifferential, ExpectationWithinTolerance) {
       0xe4bc, [](double a, double b) { ExpectClose(a, b); });
 }
 
-// Shapley routes 2n Algorithm 1 calls through one evaluator over exact
+// Shapley routes n+1 Algorithm 1 calls through one evaluator over exact
 // Fractions — the acceptance bar's third bit-identical family.
 TEST(ParallelDifferential, ShapleyValuesBitIdenticalUnderThreads) {
   Rng rng(0x57a9ULL);

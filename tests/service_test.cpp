@@ -18,6 +18,8 @@
 #include "hierarq/core/provenance_pipeline.h"
 #include "hierarq/core/resilience.h"
 #include "hierarq/core/shapley.h"
+#include "hierarq/obs/query_stats.h"
+#include "hierarq/query/elimination.h"
 #include "hierarq/query/parser.h"
 #include "hierarq/service/batch_solvers.h"
 #include "hierarq/service/eval_service.h"
@@ -658,6 +660,37 @@ TEST(BatchSolvers, ServiceShapleyMatchesSingleThreaded) {
   }
   // Efficiency axiom: values sum to Q(D) - Q(empty) = 1.
   EXPECT_EQ(sum, Fraction(1));
+}
+
+TEST(BatchSolvers, ServiceShapleyFillsQueryStats) {
+  // The fan-out's n+1 runs each fill their own collector; the caller's
+  // stats get their summed steps and the fan-out's wall time.
+  const ConjunctiveQuery q = ParseQueryOrDie("R(A,B), S(A,C), T(A,C,D)");
+  Database endo;
+  endo.AddFactOrDie("R", MakeTuple({1, 5}));
+  endo.AddFactOrDie("S", MakeTuple({1, 1}));
+  endo.AddFactOrDie("S", MakeTuple({1, 2}));
+  endo.AddFactOrDie("T", MakeTuple({1, 2, 4}));
+  auto plan = EliminationPlan::Build(q);
+  ASSERT_TRUE(plan.ok());
+
+  EvalService service(EvalService::Options{.num_workers = 4});
+  obs::QueryStats stats;
+  auto values =
+      AllShapleyValues(service, q, Database(), endo, nullptr, &stats);
+  ASSERT_TRUE(values.ok());
+  EXPECT_GT(stats.exec_ns, 0u);
+  EXPECT_EQ(stats.steps_total,
+            (endo.NumFacts() + 1) * plan->steps().size());
+  EXPECT_EQ(stats.steps_serial + stats.steps_parallel, stats.steps_total);
+  EXPECT_GT(stats.cancel_checkpoints, 0u);
+  EXPECT_FALSE(stats.plan_cache_hit);
+
+  obs::QueryStats again;
+  ASSERT_TRUE(
+      AllShapleyValues(service, q, Database(), endo, nullptr, &again).ok());
+  EXPECT_TRUE(again.plan_cache_hit);
+  EXPECT_EQ(again.steps_total, stats.steps_total);
 }
 
 TEST(BatchSolvers, ServiceShapleyRejectsLargerRandomMismatch) {

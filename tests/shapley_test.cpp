@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "hierarq/core/shapley.h"
 #include "hierarq/engine/bruteforce.h"
 #include "hierarq/engine/join.h"
 #include "hierarq/query/parser.h"
+#include "hierarq/service/batch_solvers.h"
+#include "hierarq/service/eval_service.h"
 #include "hierarq/workload/data_gen.h"
 #include "hierarq/workload/query_gen.h"
 
@@ -151,8 +155,14 @@ TEST(Shapley, EfficiencyAxiom) {
 
 class ShapleyBruteForceParam : public ::testing::TestWithParam<uint64_t> {};
 
+// Every entry point (one fact, all facts serially, all facts fanned out
+// over a service) against the subset brute force, fact by fact. The
+// benchmark's reference answers come from AllShapleyValues itself, so
+// this is what guards the |Dn|+1-run identity.
 TEST_P(ShapleyBruteForceParam, MatchesSubsetFormula) {
   Rng rng(GetParam() * 31 + 5);
+  EvalService service(EvalService::Options{.num_workers = 4});
+  bool copied_into_exo = false;
   for (int round = 0; round < 6; ++round) {
     RandomHierarchicalOptions qopts;
     qopts.num_variables = 1 + static_cast<size_t>(rng.UniformInt(0, 2));
@@ -161,21 +171,67 @@ TEST_P(ShapleyBruteForceParam, MatchesSubsetFormula) {
     dopts.tuples_per_relation = 3;
     dopts.domain_size = 2;
     const Database db = RandomDatabaseForQuery(q, rng, dopts);
-    const auto [exo, endo] = SplitExoEndo(db, rng, 0.7);
+    auto [exo, endo] = SplitExoEndo(db, rng, 0.7);
     if (endo.NumFacts() == 0 || endo.NumFacts() > 10) {
       continue;
     }
-    for (const Fact& f : endo.AllFacts()) {
+    const std::vector<Fact> facts = endo.AllFacts();
+    // Once per seed, a fact in both Dx and Dn: its endogenous copy can
+    // never change Q, so its value is 0.
+    std::optional<Fact> in_both;
+    if (!copied_into_exo) {
+      in_both = facts.front();
+      exo.AddFactOrDie(in_both->relation, in_both->tuple);
+      copied_into_exo = true;
+    }
+    auto serial = AllShapleyValues(q, exo, endo);
+    auto pooled = AllShapleyValues(service, q, exo, endo);
+    ASSERT_TRUE(serial.ok()) << q.ToString();
+    ASSERT_TRUE(pooled.ok()) << q.ToString();
+    ASSERT_EQ(serial->size(), facts.size());
+    ASSERT_EQ(pooled->size(), facts.size());
+    for (size_t i = 0; i < facts.size(); ++i) {
+      const Fact& f = facts[i];
       auto fast = ShapleyValue(q, exo, endo, f);
       ASSERT_TRUE(fast.ok()) << q.ToString();
       const Fraction slow = BruteForceShapleySubsets(q, exo, endo, f);
       EXPECT_EQ(*fast, slow) << q.ToString() << " fact=" << f.ToString();
+      EXPECT_EQ((*serial)[i].first, f);
+      EXPECT_EQ((*serial)[i].second, slow)
+          << q.ToString() << " fact=" << f.ToString();
+      EXPECT_EQ((*pooled)[i].first, f);
+      EXPECT_EQ((*pooled)[i].second, slow)
+          << q.ToString() << " fact=" << f.ToString();
+      if (in_both == f) {
+        EXPECT_EQ(slow, Fraction(0)) << q.ToString();
+      }
     }
   }
+  EXPECT_TRUE(copied_into_exo);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShapleyBruteForceParam,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+TEST(Shapley, AllValuesCostOneRunPerFactPlusOne) {
+  // One #Sat(Dx, Dn) run serves every fact; each fact adds one
+  // #Sat(Dx, Dn \ {f}) run.
+  const ConjunctiveQuery q = MakePaperQuery();
+  Database exo;
+  exo.AddFactOrDie("S", MakeTuple({1, 2}));
+  Database endo;
+  endo.AddFactOrDie("R", MakeTuple({1, 5}));
+  endo.AddFactOrDie("R", MakeTuple({1, 6}));
+  endo.AddFactOrDie("S", MakeTuple({1, 1}));
+  endo.AddFactOrDie("T", MakeTuple({1, 2, 4}));
+  endo.AddFactOrDie("T", MakeTuple({1, 2, 9}));
+  Evaluator evaluator;
+  const size_t before = evaluator.stats().evaluations;
+  auto values = AllShapleyValues(evaluator, q, exo, endo);
+  ASSERT_TRUE(values.ok());
+  EXPECT_EQ(values->size(), endo.NumFacts());
+  EXPECT_EQ(evaluator.stats().evaluations - before, endo.NumFacts() + 1);
+}
 
 TEST(Shapley, MatchesPermutationDefinition) {
   // Validate the whole reduction chain against Definition 5.12 verbatim

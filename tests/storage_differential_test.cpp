@@ -206,7 +206,7 @@ TEST(StorageDifferential, ResilienceIsBitIdenticalAcrossBackends) {
 
 TEST(StorageDifferential, ShapleyValuesAreBitIdenticalAcrossBackends) {
   // Exact Fractions (BigUint #Sat counts), so equality is exact; the
-  // instances stay small because each runs 2·|Dn| Algorithm 1 passes.
+  // instances stay small because each runs |Dn|+1 Algorithm 1 passes.
   for (uint64_t seed = 0; seed < 24; ++seed) {
     Rng rng(4000 + seed);
     const ConjunctiveQuery q = RandomQuery(rng);
