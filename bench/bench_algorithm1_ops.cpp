@@ -36,8 +36,6 @@ size_t MeasureOps(const ConjunctiveQuery& q, const Database& db) {
 void EmitThroughputJson();
 void EmitThreadScalingRows(bench::JsonReport* report,
                            const ConjunctiveQuery& q, const Database& db);
-void EmitAdaptiveRows(bench::JsonReport* report, const ConjunctiveQuery& q,
-                      const Database& db);
 void EmitSimdKernelRows(bench::JsonReport* report,
                         const ConjunctiveQuery& q, const Database& db);
 
@@ -156,7 +154,6 @@ void EmitThroughputJson() {
   }
   measure_size(big_db);
   EmitThreadScalingRows(&report, q, big_db);
-  EmitAdaptiveRows(&report, q, big_db);
   EmitSimdKernelRows(&report, q, big_db);
 
   // Instrumentation overhead (obs/): the same paper-query replay with
@@ -226,68 +223,6 @@ void EmitThreadScalingRows(bench::JsonReport* report,
          {"hardware_threads", hw},
          {"replays_per_sec", replays_per_sec}});
   }
-}
-
-/// Adaptive-mode replay (Evaluator::Options::adaptive) against a small
-/// freshly measured grid of hand-tuned fixed configurations on the same
-/// instance. The "vs_best_fixed" metric is adaptive/best throughput —
-/// the acceptance band is >= ~0.9 (within 10% of the best fixed point)
-/// and never below 0.5 (never worse than 2x). Measured side by side in
-/// one process so the comparison is not polluted by machine drift
-/// between snapshot runs.
-void EmitAdaptiveRows(bench::JsonReport* report, const ConjunctiveQuery& q,
-                      const Database& db) {
-  const CountMonoid monoid;
-  const auto annotate = std::function<uint64_t(const Fact&)>(
-      [](const Fact&) -> uint64_t { return 1; });
-  const auto plus = [](uint64_t a, uint64_t b) { return a + b; };
-  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
-
-  // Fixed thread counts, all on columnar bases.
-  std::vector<size_t> grid = {1};
-  if (hw > 1) {
-    grid.push_back(std::min<size_t>(hw, 8));
-  }
-
-  const AnnotationPool<uint64_t> pool = AnnotateForQuerySet<uint64_t>(
-      {&q}, db, annotate, plus, StorageKind::kColumnar);
-  const auto bases = ResolveBases<uint64_t>(q, pool);
-  const auto measure = [&](const Evaluator::Options& options) {
-    Evaluator evaluator(options);
-    auto plan = evaluator.GetPlan(q);
-    return bench::MeasureRate([&] {
-      benchmark::DoNotOptimize(
-          evaluator.ReplayPlan(**plan, monoid, q, bases));
-    });
-  };
-
-  std::printf("  adaptive vs hand-tuned fixed configs (|D| = %zu):\n",
-              db.NumFacts());
-  double best_fixed = 0.0;
-  for (size_t threads : grid) {
-    Evaluator::Options options;
-    options.intra_query_threads = threads;
-    const double rate = measure(options);
-    std::printf("    fixed columnar  t%zu %9.1f replays/sec\n", threads,
-                rate);
-    best_fixed = std::max(best_fixed, rate);
-  }
-
-  Evaluator::Options adaptive_options;
-  adaptive_options.adaptive = true;
-  const double adaptive_rate = measure(adaptive_options);
-  const double vs_best =
-      best_fixed > 0.0 ? adaptive_rate / best_fixed : 0.0;
-  std::printf("    adaptive          %9.1f replays/sec  (%.2fx of best "
-              "fixed)\n",
-              adaptive_rate, vs_best);
-  report->AddRow(
-      "paper_query/" + std::to_string(db.NumFacts()) + "/replay/adaptive",
-      {{"num_facts", static_cast<double>(db.NumFacts())},
-       {"hardware_threads", static_cast<double>(hw)},
-       {"replays_per_sec", adaptive_rate},
-       {"best_fixed_replays_per_sec", best_fixed},
-       {"vs_best_fixed", vs_best}});
 }
 
 /// SIMD A/B on identical rows: the batched Mix64 hash-fold kernel (the

@@ -68,12 +68,12 @@ inline void PrintNote(const std::string& note) {
 /// their name (see StorageRow) so flat-vs-columnar A/B pairs sit side by
 /// side in one document regardless of the build configuration. The
 /// top-level "hardware_threads" is std::thread::hardware_concurrency()
-/// — the first thing to check before comparing thread-scaling or
-/// adaptive rows across machines (a 1-core CI container cannot show a
-/// parallel speedup). Each row's "simd" string is the SIMD tier that was
+/// — the first thing to check before comparing thread-scaling rows
+/// across machines (a 1-core CI container cannot show a parallel
+/// speedup). Each row's "simd" string is the SIMD tier that was
 /// *actually dispatched* while the row was measured (simd::ActiveLevel
 /// at AddRow time), not the build-time or A/B-requested tier, so
-/// adaptive-mode rows are interpretable after the fact; bench_compare
+/// rows are interpretable after the fact; bench_compare
 /// joins rows by name and only diffs numeric fields, so the tag never
 /// trips the regression tripwire.
 class JsonReport {

@@ -27,10 +27,14 @@
 /// operations (`AnnotatedRelation::ProjectDropInto` / `JoinUnionInto`) so
 /// each backend applies its layout-aware fast path — the columnar backend
 /// reads only a projection's surviving columns and builds Rule 2 results
-/// with compare-free inserts. Intermediate relations inherit the base
-/// relations' storage backend, keeping every step on a native path. The
-/// in-place overload runs over a caller-owned relations vector, which
-/// lets `Evaluator` (core/evaluator.h) reuse table buffers across runs.
+/// with compare-free inserts. Serial steps inherit the base relations'
+/// storage backend, keeping every step on a native path; with an enabled
+/// `IntraQueryParallel` big steps shard across a pool (core/parallel.h)
+/// inside the same loop. The in-place overload runs over a caller-owned
+/// relations vector, which lets `Evaluator` (core/evaluator.h) reuse
+/// table buffers across runs, and `RunEliminationSteps` is the step loop
+/// alone, which the incremental view (incremental/incremental_view.h)
+/// runs with every intermediate kept.
 ///
 /// The returned value is the annotation of the final nullary atom's empty
 /// tuple, or Zero() when its support is empty (an empty ⊕). Total work is
@@ -41,6 +45,7 @@
 
 #include "hierarq/algebra/two_monoid.h"
 #include "hierarq/core/cancel.h"
+#include "hierarq/core/parallel.h"
 #include "hierarq/data/annotated.h"
 #include "hierarq/obs/query_stats.h"
 #include "hierarq/obs/trace.h"
@@ -50,22 +55,31 @@
 
 namespace hierarq {
 
-/// Runs Algorithm 1 in place over `relations`, which must have
-/// `plan.num_atoms()` entries with the first `plan.num_base_atoms()` filled
-/// by annotation (indexed by query atom position). Intermediate slots are
-/// Reset as their steps execute; consumed inputs are Cleared (capacity
-/// retained for reuse).
+/// The elimination loop every engine runs: executes `plan`'s steps in
+/// order over `relations`, which must have `plan.num_atoms()` entries with
+/// the first `plan.num_base_atoms()` filled by annotation (indexed by query
+/// atom position). Each step Resets its result slot and runs through
+/// `ProjectDropStep` / `JoinUnionStep` (core/parallel.h), which shard big
+/// steps over `par` and run the serial natives otherwise — always, when
+/// `par` is disabled. Serial steps write into the base relations'
+/// backend, so every small step stays on a storage-native path (scratch
+/// slots may carry a stale kind from an earlier run).
+///
+/// This loop is the one place that polls the cancellation checkpoint,
+/// records `QueryStats` steps and emits the trace's step events. With
+/// `keep_inputs` false each consumed input is Cleared (capacity retained
+/// for reuse); with it true every relation stays materialized — the
+/// incremental view tree (incremental/incremental_view.h). The final
+/// nullary relation is left in place either way.
 template <TwoMonoid M>
-typename M::value_type RunAlgorithm1InPlace(
+void RunEliminationSteps(
     const EliminationPlan& plan, const M& monoid,
-    std::vector<AnnotatedRelation<typename M::value_type>>& relations) {
+    std::vector<AnnotatedRelation<typename M::value_type>>& relations,
+    const IntraQueryParallel& par, bool keep_inputs) {
   using K = typename M::value_type;
 
   HIERARQ_CHECK_EQ(relations.size(), plan.num_atoms());
 
-  // Intermediates adopt the base relations' backend so every step stays on
-  // a storage-native path (scratch slots may carry a stale kind from a
-  // previous run under a different engine option).
   const StorageKind storage = relations.front().storage();
   const auto plus = [&monoid](const K& a, const K& b) {
     return monoid.Plus(a, b);
@@ -82,49 +96,70 @@ typename M::value_type RunAlgorithm1InPlace(
   uint32_t step_index = 0;
   for (const EliminationStep& step : plan.steps()) {
     // Deadline gate: between steps every intermediate is a complete
-    // relation, so this is the one safe place to abandon the run.
+    // relation, so this is the one safe place to abandon the run. Shard
+    // sub-tasks within a step run to completion.
     CancellationCheckpoint();
     AnnotatedRelation<K>& result = relations[step.result_atom];
-    result.Reset(plan.vars_of(step.result_atom), storage);
+    const VarSet& result_vars = plan.vars_of(step.result_atom);
+    const uint8_t rule =
+        step.rule == EliminationRule::kProjectVariable ? 1 : 2;
 
     const uint64_t start_ns = tracer != nullptr ? obs::Tracer::NowNs() : 0;
     uint64_t rows_in = 0;
+    StepExecution exec;
     if (step.rule == EliminationRule::kProjectVariable) {
       // Rule 1: ⊕-project `step.variable` out of `step.source_atom`.
       AnnotatedRelation<K>& source = relations[step.source_atom];
-      const size_t drop_pos = step.drop_pos;
-      HIERARQ_CHECK_LT(drop_pos, source.schema().size());
-      HIERARQ_CHECK_EQ(source.schema()[drop_pos], step.variable);
+      HIERARQ_CHECK_LT(step.drop_pos, source.schema().size());
+      HIERARQ_CHECK_EQ(source.schema()[step.drop_pos], step.variable);
       rows_in = source.size();
-      source.ProjectDropInto(drop_pos, plus, &result);
-      source.Clear();
+      ProjectDropStep(source, step.drop_pos, result_vars, plus, par, storage,
+                      &result, &exec);
+      if (!keep_inputs) {
+        source.Clear();
+      }
     } else {
       // Rule 2: ⊗-join over the union of supports.
       AnnotatedRelation<K>& left = relations[step.left_atom];
       AnnotatedRelation<K>& right = relations[step.right_atom];
       rows_in = left.size() + right.size();
-      AnnotatedRelation<K>::JoinUnionInto(left, right, times, monoid.Zero(),
-                                          &result);
-      left.Clear();
-      right.Clear();
+      JoinUnionStep(left, right, result_vars, times, monoid.Zero(), par,
+                    storage, &result, &exec);
+      if (!keep_inputs) {
+        left.Clear();
+        right.Clear();
+      }
     }
     if (query_stats != nullptr) {
-      query_stats->RecordStep(
-          step.rule == EliminationRule::kProjectVariable ? 1 : 2, rows_in,
-          result.size(), /*parallel=*/false);
+      query_stats->RecordStep(rule, rows_in, result.size(), exec.parallel);
     }
     if (tracer != nullptr) {
       obs::TraceStepArgs args;
       args.step_index = step_index;
-      args.rule = step.rule == EliminationRule::kProjectVariable ? 1 : 2;
+      args.rule = rule;
       args.backend = result.storage();
       args.simd = simd::ActiveLevel();
+      args.parallel = exec.parallel;
+      args.threads = static_cast<uint32_t>(exec.threads);
       args.rows_in = rows_in;
       args.rows_out = result.size();
       tracer->EmitStep(start_ns, obs::Tracer::NowNs(), args);
     }
     ++step_index;
   }
+}
+
+/// Runs Algorithm 1 in place over `relations` (the contract of
+/// `RunEliminationSteps`, consumed inputs Cleared) and returns the final
+/// nullary atom's annotation. `par` enables intra-query parallelism for
+/// big steps; the default runs every step serially.
+template <TwoMonoid M>
+typename M::value_type RunAlgorithm1InPlace(
+    const EliminationPlan& plan, const M& monoid,
+    std::vector<AnnotatedRelation<typename M::value_type>>& relations,
+    const IntraQueryParallel& par = {}) {
+  using K = typename M::value_type;
+  RunEliminationSteps(plan, monoid, relations, par, /*keep_inputs=*/false);
 
   // The final atom is nullary; its only possible key is the empty tuple.
   // Move the annotation out (it can be a whole provenance tree or #Sat

@@ -8,10 +8,11 @@
 /// deadline is only as good as the engine's willingness to stop: a replay
 /// over a 10M-fact database cannot be aborted from outside without
 /// leaving scratch state undefined. The contract here is *checkpointed*
-/// cancellation — every Algorithm 1 runner (serial, parallel, adaptive)
-/// calls `CancellationCheckpoint()` between elimination steps, the one
-/// place where all intermediate state is a well-formed relation and
-/// nothing is half-built. A triggered checkpoint throws `CancelledError`,
+/// cancellation — the one Algorithm 1 step loop (`RunEliminationSteps`
+/// in core/algorithm1.h, serial or parallel) calls
+/// `CancellationCheckpoint()` between elimination steps, the one place
+/// where all intermediate state is a well-formed relation and nothing is
+/// half-built. A triggered checkpoint throws `CancelledError`,
 /// which the *installing* layer (net/async_service.h, or
 /// `EvalService::EvaluateGroup` for requests carrying a token) catches
 /// and converts to `Status` — the exception never crosses a public API

@@ -30,11 +30,12 @@
 /// One evaluation can additionally parallelize *inside* itself:
 /// `Options.intra_query_threads > 1` fans each large Rule 1/Rule 2 step
 /// out over hash shards (core/parallel.h) — the single-huge-replay
-/// regime, where across-query fan-out has nothing to fan out. Results are
-/// deterministic for any thread count and bit-identical to serial for
-/// exact monoids.
+/// regime, where across-query fan-out has nothing to fan out. Serial and
+/// parallel evaluations run the same step loop (`RunAlgorithm1InPlace`,
+/// core/algorithm1.h); only its `IntraQueryParallel` argument differs.
+/// Results are deterministic for any thread count and bit-identical to
+/// serial for exact monoids.
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <typeindex>
@@ -42,7 +43,6 @@
 #include <vector>
 
 #include "hierarq/algebra/two_monoid.h"
-#include "hierarq/core/adaptive.h"
 #include "hierarq/core/algorithm1.h"
 #include "hierarq/core/parallel.h"
 #include "hierarq/data/annotated.h"
@@ -252,13 +252,6 @@ class Evaluator : public PlanProvider {
     /// replay and batch fan-out share workers. Evaluate/ReplayPlan must
     /// then be called from *outside* that pool's tasks.
     WorkerPool* intra_pool = nullptr;
-    /// Adaptive per-step execution (core/adaptive.h): stats + a cost
-    /// model — refined by measured feedback keyed through the plan
-    /// cache — choose each elimination step's thread count and
-    /// serial/parallel cutoff. `storage` still governs base-atom
-    /// annotation; `intra_query_threads` (or, when it is 1, the detected
-    /// hardware concurrency) caps the per-step fan-out.
-    bool adaptive = false;
   };
 
   Evaluator() = default;
@@ -272,20 +265,7 @@ class Evaluator : public PlanProvider {
   /// the same role as in the PlanProvider constructor below.
   explicit Evaluator(const Options& options, PlanProvider* plans = nullptr)
       : shared_plans_(plans), storage_(options.storage) {
-    size_t threads = options.intra_query_threads;
-    if (options.adaptive) {
-      AdaptiveController::Options ctl;
-      // An explicit thread count is both the pool size and the budget
-      // the controller plans against; with the default (1) the
-      // controller detects the hardware concurrency and the pool is
-      // sized to match, so --adaptive alone uses the whole machine.
-      if (threads > 1) {
-        ctl.hardware_threads = threads;
-      }
-      ctl.min_parallel_rows = options.parallel_min_rows;
-      adaptive_ = std::make_unique<AdaptiveController>(ctl);
-      threads = std::max(threads, adaptive_->hardware_threads());
-    }
+    const size_t threads = options.intra_query_threads;
     if (threads > 1) {
       if (options.intra_pool == nullptr) {
         owned_pool_ = std::make_unique<WorkerPool>(threads);
@@ -441,13 +421,6 @@ class Evaluator : public PlanProvider {
   /// constructor enabled it).
   const IntraQueryParallel& intra_query_parallel() const { return par_; }
 
-  /// The adaptive controller when Options.adaptive enabled one, nullptr
-  /// otherwise — test/introspection surface (per-step feedback, serial
-  /// vs parallel step counts).
-  const AdaptiveController* adaptive_controller() const {
-    return adaptive_.get();
-  }
-
   /// Number of distinct queries with a cached plan (always 0 when plans
   /// are delegated to a shared provider).
   size_t num_cached_plans() const { return plans_.size(); }
@@ -457,11 +430,11 @@ class Evaluator : public PlanProvider {
   void ClearCache();
 
  private:
-  /// The single exit of Evaluate and every ReplayPlan overload: adaptive
-  /// per-step execution when the controller exists, the fixed
-  /// configuration otherwise. Also the single observability point — one
-  /// global counter bump and, when a tracer is installed, one enclosing
-  /// span around the step events the runners emit.
+  /// The single exit of Evaluate and every ReplayPlan overload: the one
+  /// step loop (core/algorithm1.h) under this evaluator's intra-query
+  /// configuration. Also the single observability point — one global
+  /// counter bump and, when a tracer is installed, one enclosing span
+  /// around the step events the loop emits.
   template <TwoMonoid M>
   typename M::value_type Run(
       const EliminationPlan& plan, const M& monoid,
@@ -478,10 +451,7 @@ class Evaluator : public PlanProvider {
     const uint64_t start_ns =
         query_stats != nullptr ? obs::Tracer::NowNs() : 0;
     typename M::value_type value =
-        adaptive_ != nullptr
-            ? RunAlgorithm1InPlaceAdaptive(plan, monoid, relations, par_,
-                                           adaptive_.get())
-            : RunAlgorithm1InPlaceParallel(plan, monoid, relations, par_);
+        RunAlgorithm1InPlace(plan, monoid, relations, par_);
     if (query_stats != nullptr) {
       query_stats->exec_ns += obs::Tracer::NowNs() - start_ns;
     }
@@ -529,9 +499,6 @@ class Evaluator : public PlanProvider {
   // owned (Options with no intra_pool) or borrowed; par_.pool aliases it.
   std::unique_ptr<WorkerPool> owned_pool_;
   IntraQueryParallel par_;
-  // Per-evaluator adaptive controller (Options.adaptive); single-threaded
-  // like the scratch tables it sits beside.
-  std::unique_ptr<AdaptiveController> adaptive_;
   // unique_ptr values keep plan addresses stable across cache rehashes.
   std::unordered_map<std::string, std::unique_ptr<EliminationPlan>> plans_;
   std::unordered_map<std::type_index, std::unique_ptr<ScratchBase>> scratch_;

@@ -54,8 +54,10 @@
 /// (pool + thread budget) and falls back to the bit-identical serial path
 /// when disabled, when a relation is under `min_rows` (fan-out overhead
 /// would dominate), or when an input lives in the `kBaseline` reference
-/// backend (which exposes no range-scannable layout). `ParallelFor` must
-/// be driven from outside the pool — `Evaluator` calls these on the
+/// backend (which exposes no range-scannable layout). The step loop
+/// itself (`RunEliminationSteps`, core/algorithm1.h) calls the two step
+/// primitives at the bottom of this file for every step. `ParallelFor`
+/// must be driven from outside the pool — `Evaluator` calls these on the
 /// client thread, exactly like `EvalService`'s across-query fan-out.
 
 #include <algorithm>
@@ -68,15 +70,12 @@
 #include <utility>
 #include <vector>
 
-#include "hierarq/algebra/two_monoid.h"
-#include "hierarq/core/algorithm1.h"
-#include "hierarq/core/cancel.h"
 #include "hierarq/data/annotated.h"
 #include "hierarq/data/columnar.h"
 #include "hierarq/data/sharded.h"
 #include "hierarq/data/storage.h"
 #include "hierarq/data/tuple.h"
-#include "hierarq/query/elimination.h"
+#include "hierarq/query/var_set.h"
 #include "hierarq/util/hash.h"
 #include "hierarq/util/logging.h"
 #include "hierarq/util/simd.h"
@@ -102,7 +101,7 @@ struct IntraQueryParallel {
 
 /// What one step primitive actually did — the parallel-vs-serial
 /// predicate is computed inside ProjectDropStep/JoinUnionStep, and the
-/// runners (and their trace events) learn the outcome through this
+/// step loop (and its trace events) learns the outcome through this
 /// out-param instead of re-deriving it.
 struct StepExecution {
   bool parallel = false;
@@ -473,12 +472,11 @@ std::optional<K> ParallelFoldSupport(const AnnotatedRelation<K>& src,
 }
 
 /// One Rule 1 step with the parallel-vs-serial decision made in one
-/// place (shared by the batch runner below and the incremental view's
-/// Materialize, so the two engines can never drift in coverage): the
-/// terminal nullary projection takes the segment fold, other big
-/// range-scannable sources take the sharded scatter, everything else
-/// runs the bit-identical serial native into `serial_storage`. Resets
-/// `*result`; never Clears `source`.
+/// place (the step loop, `RunEliminationSteps` in core/algorithm1.h,
+/// runs every Rule 1 step through it): the terminal nullary projection
+/// takes the segment fold, other big range-scannable sources take the
+/// sharded scatter, everything else runs the bit-identical serial native
+/// into `serial_storage`. Resets `*result`; never Clears `source`.
 template <typename K, typename Plus>
 void ProjectDropStep(const AnnotatedRelation<K>& source, size_t drop_pos,
                      const VarSet& result_vars, Plus plus,
@@ -534,88 +532,6 @@ void JoinUnionStep(const AnnotatedRelation<K>& left,
     result->Reset(result_vars, serial_storage);
     AnnotatedRelation<K>::JoinUnionInto(left, right, times, zero, result);
   }
-}
-
-/// `RunAlgorithm1InPlace` with intra-query parallelism: per-step fan-out
-/// over hash shards when the step's input is large enough, bit-identical
-/// serial execution otherwise (and entirely serial when `par` is
-/// disabled). Intermediates produced by parallel steps live in
-/// kShardedColumnar; small steps keep their source's backend so the
-/// serial natives still apply. See
-/// RunAlgorithm1InPlace for the relations-vector contract.
-template <TwoMonoid M>
-typename M::value_type RunAlgorithm1InPlaceParallel(
-    const EliminationPlan& plan, const M& monoid,
-    std::vector<AnnotatedRelation<typename M::value_type>>& relations,
-    const IntraQueryParallel& par) {
-  using K = typename M::value_type;
-  if (!par.enabled()) {
-    return RunAlgorithm1InPlace(plan, monoid, relations);
-  }
-  HIERARQ_CHECK_EQ(relations.size(), plan.num_atoms());
-
-  const auto plus = [&monoid](const K& a, const K& b) {
-    return monoid.Plus(a, b);
-  };
-  const auto times = [&monoid](const K& a, const K& b) {
-    return monoid.Times(a, b);
-  };
-
-  obs::Tracer* const tracer = obs::Tracer::Current();
-  obs::QueryStats* const query_stats = obs::CurrentQueryStats();
-  uint32_t step_index = 0;
-  for (const EliminationStep& step : plan.steps()) {
-    // Deadline gate between steps (see core/cancel.h); shard sub-tasks
-    // within a step run to completion — only the step loop aborts.
-    CancellationCheckpoint();
-    AnnotatedRelation<K>& result = relations[step.result_atom];
-    const VarSet& result_vars = plan.vars_of(step.result_atom);
-
-    const uint64_t start_ns = tracer != nullptr ? obs::Tracer::NowNs() : 0;
-    uint64_t rows_in = 0;
-    StepExecution exec;
-    if (step.rule == EliminationRule::kProjectVariable) {
-      AnnotatedRelation<K>& source = relations[step.source_atom];
-      HIERARQ_CHECK_LT(step.drop_pos, source.schema().size());
-      HIERARQ_CHECK_EQ(source.schema()[step.drop_pos], step.variable);
-      rows_in = source.size();
-      ProjectDropStep(source, step.drop_pos, result_vars, plus, par,
-                      source.storage(), &result, &exec);
-      source.Clear();
-    } else {
-      AnnotatedRelation<K>& left = relations[step.left_atom];
-      AnnotatedRelation<K>& right = relations[step.right_atom];
-      rows_in = left.size() + right.size();
-      JoinUnionStep(left, right, result_vars, times, monoid.Zero(), par,
-                    left.storage(), &result, &exec);
-      left.Clear();
-      right.Clear();
-    }
-    if (query_stats != nullptr) {
-      query_stats->RecordStep(
-          step.rule == EliminationRule::kProjectVariable ? 1 : 2, rows_in,
-          result.size(), exec.parallel);
-    }
-    if (tracer != nullptr) {
-      obs::TraceStepArgs args;
-      args.step_index = step_index;
-      args.rule = step.rule == EliminationRule::kProjectVariable ? 1 : 2;
-      args.backend = result.storage();
-      args.simd = simd::ActiveLevel();
-      args.parallel = exec.parallel;
-      args.threads = static_cast<uint32_t>(exec.threads);
-      args.rows_in = rows_in;
-      args.rows_out = result.size();
-      tracer->EmitStep(start_ns, obs::Tracer::NowNs(), args);
-    }
-    ++step_index;
-  }
-
-  AnnotatedRelation<K>& final_rel = relations[plan.final_atom()];
-  auto [slot, inserted] = final_rel.FindOrInsert(Tuple{});
-  K result = inserted ? monoid.Zero() : std::move(*slot);
-  final_rel.Clear();
-  return result;
 }
 
 }  // namespace hierarq

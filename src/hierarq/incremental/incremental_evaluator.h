@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "hierarq/algebra/two_monoid.h"
-#include "hierarq/core/adaptive.h"
 #include "hierarq/core/parallel.h"
 #include "hierarq/data/storage.h"
 #include "hierarq/incremental/delta.h"
@@ -57,13 +56,6 @@ class IncrementalEvaluator {
     /// resync rematerialization — runs its big folds across a pool this
     /// evaluator owns. Delta application stays serial (per-key work).
     size_t intra_query_threads = 1;
-    /// Adaptive materialization (core/adaptive.h): with the default
-    /// thread count the pool is sized from the detected hardware
-    /// concurrency. Unlike the batch engine, steps are not re-decided per
-    /// replay — a view's intermediates are delta-maintained in whatever
-    /// backend materialization placed them, so the choice must be stable
-    /// for the view's lifetime.
-    bool adaptive = false;
   };
 
   struct Stats {
@@ -95,10 +87,6 @@ class IncrementalEvaluator {
         annotator_(std::move(annotator)),
         options_(options) {
     HIERARQ_CHECK(database_ != nullptr);
-    if (options_.adaptive && options_.intra_query_threads <= 1) {
-      options_.intra_query_threads =
-          AdaptiveController().hardware_threads();
-    }
     if (options_.intra_query_threads > 1) {
       pool_ = std::make_unique<WorkerPool>(options_.intra_query_threads);
       par_.pool = pool_.get();

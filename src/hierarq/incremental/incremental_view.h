@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "hierarq/algebra/two_monoid.h"
+#include "hierarq/core/algorithm1.h"
 #include "hierarq/core/parallel.h"
 #include "hierarq/data/annotated.h"
 #include "hierarq/data/storage.h"
@@ -182,9 +183,6 @@ class IncrementalView {
     const auto plus = [this](const K& a, const K& b) {
       return monoid_.Plus(a, b);
     };
-    const auto times = [this](const K& a, const K& b) {
-      return monoid_.Times(a, b);
-    };
     const std::function<K(const Fact&)> annotate = [&](const Fact& fact) {
       return annotator_(fact, db.WeightOf(fact));
     };
@@ -197,46 +195,19 @@ class IncrementalView {
         AnnotateAtom<K>(atom, *relation, annotate, plus, &relations_[a]);
       }
     }
-    obs::Tracer* const tracer = obs::Tracer::Current();
     obs::Span materialize_span("view.materialize", "incremental");
+    // The batch engine's step loop (core/algorithm1.h), so the two engines
+    // cannot drift in step coverage or parallel-vs-serial choice. A step
+    // sharded here then lives (and is delta-maintained) in the sharded
+    // backend, which supports the same per-key ops as the others; serial
+    // steps keep the view's configured backend.
+    RunEliminationSteps(plan_, monoid_, relations_, par_,
+                        /*keep_inputs=*/true);
+    // Each Rule 1 step's source is still materialized.
     for (size_t si = 0; si < plan_.steps().size(); ++si) {
       const EliminationStep& step = plan_.steps()[si];
-      AnnotatedRelation<K>& result = relations_[step.result_atom];
-      const VarSet& result_vars = plan_.vars_of(step.result_atom);
-      const uint64_t start_ns =
-          tracer != nullptr ? obs::Tracer::NowNs() : 0;
-      uint64_t rows_in = 0;
-      StepExecution exec;
       if (step.rule == EliminationRule::kProjectVariable) {
-        const AnnotatedRelation<K>& source = relations_[step.source_atom];
-        rows_in = source.size();
-        // The batch engine's shared step dispatch (core/parallel.h)
-        // decides parallel-vs-serial, so the two engines cannot drift in
-        // coverage. A step sharded here then lives (and is delta-
-        // maintained) in the sharded backend, which supports the same
-        // per-key ops as the others; serial steps keep the view's
-        // configured backend.
-        ProjectDropStep(source, step.drop_pos, result_vars, plus, par_,
-                        storage_, &result, &exec);
-        RebuildRule1Bookkeeping(si, step, source);
-      } else {
-        rows_in = relations_[step.left_atom].size() +
-                  relations_[step.right_atom].size();
-        JoinUnionStep(relations_[step.left_atom],
-                      relations_[step.right_atom], result_vars, times,
-                      monoid_.Zero(), par_, storage_, &result, &exec);
-      }
-      if (tracer != nullptr) {
-        obs::TraceStepArgs args;
-        args.step_index = static_cast<uint32_t>(si);
-        args.rule = step.rule == EliminationRule::kProjectVariable ? 1 : 2;
-        args.backend = result.storage();
-        args.simd = simd::ActiveLevel();
-        args.parallel = exec.parallel;
-        args.threads = static_cast<uint32_t>(exec.threads);
-        args.rows_in = rows_in;
-        args.rows_out = result.size();
-        tracer->EmitStep(start_ns, obs::Tracer::NowNs(), args);
+        RebuildRule1Bookkeeping(si, step, relations_[step.source_atom]);
       }
     }
     RefreshResult();

@@ -492,7 +492,7 @@ Status HierarqServer::EvaluateSolver(EvalService& service,
     }
     case SolverKind::kResilience: {
       auto values = ComputeResilienceBatch(service, one, db_.facts(),
-                                           endogenous_, &cancel);
+                                           endogenous_, &cancel, stats);
       if (!values.front().ok()) {
         return values.front().status();
       }

@@ -61,17 +61,7 @@ std::string StepDetails(const StepObservation* obs) {
                 FormatNs(static_cast<double>(obs->dur_ns)).c_str(),
                 simd::LevelName(a.simd));
   std::string out = buf;
-  const char* chosen = a.parallel ? "parallel" : "serial";
-  if (a.adaptive && a.predicted_serial_ns >= 0.0) {
-    out += " chose ";
-    out += chosen;
-    out += " (pred serial=" + FormatNs(a.predicted_serial_ns) +
-           " parallel=" + FormatNs(a.predicted_parallel_ns) + ")";
-  } else {
-    out += " ";
-    out += chosen;
-    out += " (fixed)";
-  }
+  out += a.parallel ? " parallel" : " serial";
   if (obs->runs > 1) {
     char runs[32];
     std::snprintf(runs, sizeof(runs), " x%zu runs, last shown", obs->runs);

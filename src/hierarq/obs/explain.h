@@ -9,9 +9,8 @@
 /// nullary atom at the root, each step's result atom a node over its
 /// input atoms, base atoms as leaves — with exactly one line per
 /// elimination step carrying what the trace observed: result backend,
-/// thread fan-out, rows in/out, wall time, SIMD tier, and the
-/// serial/parallel decision (with the cost model's predictions when the
-/// adaptive controller made it). `hierarq_cli --explain` prints this
+/// thread fan-out, rows in/out, wall time, SIMD tier, and whether the
+/// step ran serial or parallel. `hierarq_cli --explain` prints this
 /// after the command's normal output.
 ///
 /// The tree shape needs no search: plan atom ids are minted in step

@@ -138,22 +138,14 @@ void AppendStepArgsJson(const TraceStepArgs& step, std::string* out) {
   std::snprintf(
       buf, sizeof(buf),
       "{\"step\": %u, \"rule\": %u, \"backend\": \"%s\", \"simd\": \"%s\", "
-      "\"adaptive\": %s, \"parallel\": %s, \"threads\": %u, "
-      "\"rows_in\": %llu, \"rows_out\": %llu",
+      "\"parallel\": %s, \"threads\": %u, "
+      "\"rows_in\": %llu, \"rows_out\": %llu}",
       step.step_index, static_cast<unsigned>(step.rule),
       StorageKindName(step.backend), simd::LevelName(step.simd),
-      step.adaptive ? "true" : "false", step.parallel ? "true" : "false",
-      step.threads, static_cast<unsigned long long>(step.rows_in),
+      step.parallel ? "true" : "false", step.threads,
+      static_cast<unsigned long long>(step.rows_in),
       static_cast<unsigned long long>(step.rows_out));
   *out += buf;
-  if (step.predicted_serial_ns >= 0.0 || step.predicted_parallel_ns >= 0.0) {
-    std::snprintf(buf, sizeof(buf),
-                  ", \"predicted_serial_ns\": %.1f, "
-                  "\"predicted_parallel_ns\": %.1f",
-                  step.predicted_serial_ns, step.predicted_parallel_ns);
-    *out += buf;
-  }
-  *out += "}";
 }
 
 }  // namespace

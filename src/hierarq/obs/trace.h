@@ -4,9 +4,10 @@
 /// \file trace.h
 /// \brief Low-overhead span tracing for the engine's per-step decisions.
 ///
-/// The adaptive engine (core/adaptive.h) picks a backend and thread count
-/// for every elimination step; this tracer is how those decisions become
-/// visible. The design is a classic in-memory flight recorder:
+/// The step loop (core/algorithm1.h) decides a backend and a
+/// serial-or-parallel execution for every elimination step; this tracer
+/// is how those decisions become visible. The design is a classic
+/// in-memory flight recorder:
 ///
 ///   * **Install-to-enable.** There is one process-wide current tracer
 ///     (an atomic pointer). When none is installed, every emit point —
@@ -49,23 +50,17 @@
 namespace hierarq::obs {
 
 /// Everything one elimination step reports: which rule ran where, how
-/// big it was, and — when the adaptive controller drove it — what the
-/// cost model predicted for each side of the serial/parallel choice.
+/// it ran (serial or sharded across threads), and how big it was.
 struct TraceStepArgs {
   uint32_t step_index = 0;
   uint8_t rule = 1;  ///< 1 = ⊕-project (Rule 1), 2 = ⊗-merge (Rule 2).
   /// Result backend the step materialized into.
   StorageKind backend = kDefaultStorageKind;
   simd::Level simd = simd::Level::kScalar;  ///< Dispatched SIMD tier.
-  bool adaptive = false;  ///< Decided by AdaptiveController vs fixed flags.
   bool parallel = false;  ///< Took the sharded scatter vs the serial native.
   uint32_t threads = 1;   ///< Fan-out width (1 when serial).
   uint64_t rows_in = 0;   ///< Input support (Rule 2: |left| + |right|).
   uint64_t rows_out = 0;  ///< Result support.
-  /// Cost-model estimates (ns) behind an adaptive decision; negative
-  /// when the step ran under fixed flags and nothing was predicted.
-  double predicted_serial_ns = -1.0;
-  double predicted_parallel_ns = -1.0;
 };
 
 /// One recorded event. Trivially copyable on purpose: rings copy these
@@ -119,8 +114,7 @@ class Tracer {
   }
 
   /// Nanoseconds since a process-global steady-clock epoch. Cheap enough
-  /// to double as the engine's step timer (core/adaptive.h feeds the
-  /// same reading to both the trace and the controller's EWMA).
+  /// to double as the engine's step and request timer.
   static uint64_t NowNs();
 
   /// Records a completed duration [start_ns, end_ns).

@@ -57,14 +57,15 @@ std::vector<Result<double>> ExpectedMultiplicityBatch(
 std::vector<Result<uint64_t>> ComputeResilienceBatch(
     EvalService& service, const std::vector<const ConjunctiveQuery*>& queries,
     const Database& exogenous, const Database& endogenous,
-    const CancelToken* cancel) {
+    const CancelToken* cancel, obs::QueryStats* stats) {
   Result<Database> combined = exogenous.UnionWith(endogenous);
   if (!combined.ok()) {
     return std::vector<Result<uint64_t>>(queries.size(), combined.status());
   }
   const ResilienceMonoid monoid;
   return service.EvaluateMany<ResilienceMonoid>(
-      monoid, queries, *combined, ResilienceCostAnnotator(exogenous), cancel);
+      monoid, queries, *combined, ResilienceCostAnnotator(exogenous), cancel,
+      stats);
 }
 
 std::vector<Result<ProvenanceResult>> ComputeProvenanceBatch(

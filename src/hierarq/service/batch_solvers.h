@@ -55,11 +55,13 @@ std::vector<Result<double>> ExpectedMultiplicityBatch(
 
 /// Resilience of each query over one (exogenous, endogenous) split,
 /// sharing one cost-annotation pass over the combined database.
-/// `cancel` (optional) bounds the replays — see core/cancel.h.
+/// `cancel` (optional) bounds the replays — see core/cancel.h. `stats`
+/// (optional) receives the first query's accounting, as in
+/// `EvalService::EvaluateMany`.
 std::vector<Result<uint64_t>> ComputeResilienceBatch(
     EvalService& service, const std::vector<const ConjunctiveQuery*>& queries,
     const Database& exogenous, const Database& endogenous,
-    const CancelToken* cancel = nullptr);
+    const CancelToken* cancel = nullptr, obs::QueryStats* stats = nullptr);
 
 /// Read-once provenance of each query over `db`. Fact tables are
 /// query-local, so this fans the queries out across the workers instead of

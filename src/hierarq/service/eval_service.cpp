@@ -53,22 +53,16 @@ EvalService::EvalService(Options options)
     worker_evaluators_.push_back(
         std::make_unique<Evaluator>(&plan_cache_, options.storage));
   }
-  if (options.intra_query_threads > 1 || options.adaptive) {
+  if (options.intra_query_threads > 1) {
     // The intra evaluator borrows the service pool: one huge replay's
     // shard tasks interleave with batch fan-out tasks instead of
     // stalling behind them. It is only ever driven from client threads
     // (EvaluateGroup), satisfying ParallelFor's outside-the-pool rule.
-    // With Options.adaptive the evaluator re-decides backend/fan-out per
-    // elimination step (core/adaptive.h), capped by the pool size.
     Evaluator::Options intra;
     intra.storage = options.storage;
-    intra.intra_query_threads =
-        options.adaptive && options.intra_query_threads <= 1
-            ? pool_.num_workers()
-            : options.intra_query_threads;
+    intra.intra_query_threads = options.intra_query_threads;
     intra.parallel_min_rows = options.parallel_min_rows;
     intra.intra_pool = &pool_;
-    intra.adaptive = options.adaptive;
     intra_evaluator_ = std::make_unique<Evaluator>(intra, &plan_cache_);
   }
 }

@@ -162,13 +162,6 @@ class EvalService {
     /// Per-step serial cutoff forwarded to the intra evaluator
     /// (Evaluator::Options::parallel_min_rows).
     size_t parallel_min_rows = 4096;
-    /// Adaptive per-step execution (core/adaptive.h) for the intra-query
-    /// route: the single-huge-replay evaluator exists even when
-    /// `intra_query_threads` is unset and decides each step's fan-out
-    /// and cutoff from stats + measured feedback. Batch fan-out
-    /// is untouched — across-query parallelism already saturates the
-    /// pool, so each worker's serial replay is the right fixed point.
-    bool adaptive = false;
     /// Upper bound on cached annotation pools (the generation-keyed
     /// cache); the least-recently-used entry is evicted past it, so
     /// long-running services over many databases stop growing without a

@@ -764,6 +764,20 @@ TEST(Server, StatsSectionReportsAccountingOverTheWire) {
   EXPECT_EQ(plain->stats.steps_total, 0u);
 }
 
+TEST(Server, ResilienceStatsReportExecutionAndSteps) {
+  TestServer fixture("R(1,2)\nR(1,3)\n", "S(1,5)\nS(1,6)\n");
+  HierarqClient client = fixture.Connect();
+  auto result = client.Query(SolverKind::kResilience, kSmallQuery, 0,
+                             /*capture_trace=*/false, /*capture_stats=*/true);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->count, 2u);
+  EXPECT_TRUE(client.last_response_had_stats());
+  EXPECT_GT(result->stats.exec_ns, 0u);
+  auto plan = EliminationPlan::Build(MustParse(kSmallQuery));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(result->stats.steps_total, plan->steps().size());
+}
+
 TEST(Server, StatsAndTraceComposeOnOneRequest) {
   TestServer fixture(kSmallDb);
   HierarqClient client = fixture.Connect();

@@ -290,9 +290,6 @@ TEST(Tracer, StepEventsCarryTheDecision) {
   args.threads = 4;
   args.rows_in = 100;
   args.rows_out = 60;
-  args.adaptive = true;
-  args.predicted_serial_ns = 1000.0;
-  args.predicted_parallel_ns = 400.0;
   tracer.EmitStep(t0, obs::Tracer::NowNs(), args);
   tracer.Uninstall();
   const std::vector<obs::TraceEvent> events = tracer.Snapshot();
@@ -300,8 +297,19 @@ TEST(Tracer, StepEventsCarryTheDecision) {
   EXPECT_EQ(events[0].kind, obs::TraceEvent::Kind::kStep);
   EXPECT_STREQ(events[0].name, "rule2_merge");
   EXPECT_EQ(events[0].step.step_index, 3u);
+  EXPECT_EQ(events[0].step.rule, 2u);
   EXPECT_TRUE(events[0].step.parallel);
   EXPECT_EQ(events[0].step.threads, 4u);
+  EXPECT_EQ(events[0].step.rows_in, 100u);
+  EXPECT_EQ(events[0].step.rows_out, 60u);
+
+  // The Chrome export carries the same decision and nothing else.
+  std::ostringstream json;
+  tracer.WriteChromeTrace(json);
+  EXPECT_NE(json.str().find("\"parallel\": true, \"threads\": 4"),
+            std::string::npos)
+      << json.str();
+  EXPECT_EQ(json.str().find("predicted"), std::string::npos) << json.str();
 }
 
 TEST(Explain, NamesEveryPlanStepExactlyOnce) {
@@ -337,6 +345,9 @@ TEST(Explain, NamesEveryPlanStepExactlyOnce) {
   }
   EXPECT_EQ(CountOccurrences(text, "[not executed]"), 0u) << text;
   EXPECT_EQ(CountOccurrences(text, "rows"), plan->steps().size()) << text;
+  // A serial evaluator: every step line ends in its execution mode.
+  EXPECT_EQ(CountOccurrences(text, " serial]"), plan->steps().size())
+      << text;
 }
 
 TEST(Explain, UnexecutedPlanRendersEveryStepAsNotRun) {

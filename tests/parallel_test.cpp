@@ -1,6 +1,6 @@
 // Threaded-vs-serial differential for intra-query parallel Algorithm 1
 // (core/parallel.h): for every storage backend × monoid × thread count,
-// the shard-parallel runner must agree with the serial engine —
+// shard-parallel evaluation must agree with the serial engine —
 // bit-identically for exact monoids (count, bool, resilience, Shapley's
 // Fractions: ⊕ is exactly associative-commutative, so order cannot show),
 // and to 1e-11 relative for the floating monoids (sharding fixes a
@@ -8,17 +8,20 @@
 //
 // Also covered here: determinism across thread counts (2 threads and 8
 // threads must agree bit-for-bit — shard ownership depends on hashes,
-// not scheduling), the EvalService single-huge-replay route, and
-// parallel incremental-view materialization feeding serial delta
-// maintenance. parallel_test runs in the TSAN CI leg: the concurrency
+// not scheduling), the EvalService single-huge-replay route, parallel
+// incremental-view materialization feeding serial delta maintenance, and
+// materialization taking exactly the batch engine's steps (one shared
+// step loop). parallel_test runs in the TSAN CI leg: the concurrency
 // tests double as race detectors.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -449,6 +452,106 @@ TEST(ParallelIncremental, ParallelMaterializeFeedsSerialDeltasCorrectly) {
     }
     EXPECT_EQ(serial.view(*serial_handle).TotalSupport(),
               parallel.view(*parallel_handle).TotalSupport());
+  }
+}
+
+// ------------------------------------------------ one loop, two engines --
+
+// What one traced step did, minus its timing.
+struct StepRecord {
+  uint8_t rule = 0;
+  StorageKind backend = kDefaultStorageKind;
+  bool parallel = false;
+  uint64_t rows_in = 0;
+  uint64_t rows_out = 0;
+
+  bool operator==(const StepRecord&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const StepRecord& r) {
+  return os << "{rule " << static_cast<int>(r.rule) << ", "
+            << StorageKindName(r.backend) << ", "
+            << (r.parallel ? "parallel" : "serial") << ", " << r.rows_in
+            << " -> " << r.rows_out << "}";
+}
+
+std::vector<StepRecord> StepRecords(const obs::Tracer& tracer) {
+  std::vector<obs::TraceEvent> steps;
+  for (const obs::TraceEvent& event : tracer.Snapshot()) {
+    if (event.kind == obs::TraceEvent::Kind::kStep) {
+      steps.push_back(event);
+    }
+  }
+  std::stable_sort(steps.begin(), steps.end(),
+                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+                     return a.step.step_index < b.step.step_index;
+                   });
+  std::vector<StepRecord> out;
+  for (const obs::TraceEvent& event : steps) {
+    out.push_back(StepRecord{event.step.rule, event.step.backend,
+                             event.step.parallel, event.step.rows_in,
+                             event.step.rows_out});
+  }
+  return out;
+}
+
+// Incremental-view materialization and batch evaluation run the same step
+// loop, so on one instance they must take the same steps in the same
+// backends with the same serial/parallel choices. The instance is sized
+// so that the default 4096-row cutoff (IncrementalEvaluator has no cutoff
+// option) shards the two middle steps and leaves the rest serial — among
+// them a serial Rule 1 over a sharded source.
+TEST(SharedStepLoop, MaterializeAndEvaluateTakeTheSameSteps) {
+  const ConjunctiveQuery q = MakePaperQuery();
+  Rng rng(0x5e9ULL);
+  DataGenOptions dopts;
+  dopts.tuples_per_relation = 5000;
+  dopts.domain_size = 50;
+  const Database base = RandomDatabaseForQuery(q, rng, dopts);
+
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    VersionedDatabase db(base);
+    IncrementalEvaluator<CountMonoid>::Options view_options;
+    view_options.intra_query_threads = threads;
+    IncrementalEvaluator<CountMonoid> incremental(
+        CountMonoid{}, &db, [](const Fact&, double) -> uint64_t { return 1; },
+        view_options);
+    obs::Tracer view_tracer;
+    view_tracer.Install();
+    auto handle = incremental.Attach(q);
+    view_tracer.Uninstall();
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+
+    Evaluator::Options options;
+    options.intra_query_threads = threads;
+    options.parallel_min_rows = IntraQueryParallel{}.min_rows;
+    Evaluator evaluator(options);
+    obs::Tracer batch_tracer;
+    batch_tracer.Install();
+    auto result = evaluator.Evaluate<CountMonoid>(
+        q, CountMonoid{}, base, [](const Fact&) -> uint64_t { return 1; });
+    batch_tracer.Uninstall();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(incremental.ResultOf(*handle), *result);
+
+    const std::vector<StepRecord> view_steps = StepRecords(view_tracer);
+    const std::vector<StepRecord> batch_steps = StepRecords(batch_tracer);
+    const auto plan = EliminationPlan::Build(q);
+    ASSERT_TRUE(plan.ok());
+    ASSERT_EQ(batch_steps.size(), plan->steps().size());
+    EXPECT_EQ(view_steps, batch_steps);
+
+    size_t parallel_steps = 0;
+    for (const StepRecord& step : batch_steps) {
+      parallel_steps += step.parallel ? 1 : 0;
+    }
+    if (threads == 1) {
+      EXPECT_EQ(parallel_steps, 0u);
+    } else {
+      EXPECT_GT(parallel_steps, 0u);
+      EXPECT_LT(parallel_steps, batch_steps.size());
+    }
   }
 }
 

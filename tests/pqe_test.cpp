@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "hierarq/core/pqe.h"
 #include "hierarq/engine/bruteforce.h"
 #include "hierarq/query/parser.h"
@@ -147,6 +150,25 @@ TEST(Pqe, TwoIndependentAGroups) {
   auto p = EvaluateProbability(q, db);
   ASSERT_TRUE(p.ok());
   EXPECT_NEAR(*p, 1 - (1 - 0.25) * (1 - 0.25), 1e-12);
+}
+
+TEST(Pqe, SmallProbabilitiesKeepRelativePrecision) {
+  // 1,000 independent keys, each satisfied with probability 2^-60
+  // (R(a,1) and S(a) at 2^-30 each). Computing ⊕ as 1 − (1−p1)(1−p2)
+  // rounds every 1 − 2^-60 to 1 and answers 0. The exact answer,
+  // 1 − (1 − 2^-60)^1000, is within 5e-16 (relative) of 1000·2^-60.
+  const ConjunctiveQuery q = ParseQueryOrDie("Q() :- R(A,B), S(A)");
+  const double p = std::ldexp(1.0, -30);
+  TidDatabase db;
+  for (int64_t a = 0; a < 1000; ++a) {
+    db.AddFactOrDie("R", MakeTuple({a, 1}), p);
+    db.AddFactOrDie("S", MakeTuple({a}), p);
+  }
+  auto result = EvaluateProbability(q, db);
+  ASSERT_TRUE(result.ok());
+  const double expected = 1000.0 * std::ldexp(1.0, -60);
+  EXPECT_LE(std::fabs(*result - expected), 1e-13 * expected)
+      << "Pr[Q] = " << *result << ", expected about " << expected;
 }
 
 }  // namespace

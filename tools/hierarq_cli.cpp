@@ -14,21 +14,12 @@
 // path. Batch mode's trailing [workers] argument still sizes the
 // across-query worker pool independently.
 //
-// A global `--adaptive` flag replaces hand-picked knobs with per-step
-// decisions (core/adaptive.h): cheap stats plus a calibrated cost model
-// — refined by measured feedback on replays — choose each elimination
-// step's thread count and serial/parallel cutoff. `--threads=N` then
-// caps the fan-out (default: detected hardware concurrency). Results
-// are identical to every fixed configuration (bit-identical for exact
-// monoids).
-//
 // Observability (obs/): `--explain` prints an EXPLAIN ANALYZE tree after
 // the run — the elimination plan annotated with each step's backend,
-// thread count, rows in/out, wall time, SIMD tier, and (under
-// --adaptive) the predicted-vs-chosen decision. `--trace=FILE` records
-// the same per-step spans and writes Chrome trace-event JSON for
-// chrome://tracing / Perfetto. `--metrics` dumps the metrics registry to
-// stderr on exit.
+// thread count, rows in/out, wall time, SIMD tier, and whether it ran
+// serial or parallel. `--trace=FILE` records the same per-step spans and
+// writes Chrome trace-event JSON for chrome://tracing / Perfetto.
+// `--metrics` dumps the metrics registry to stderr on exit.
 //
 //   hierarq_cli classify   <query>
 //   hierarq_cli plan       <query>
@@ -96,7 +87,7 @@ namespace hierarq {
 namespace {
 
 /// Observability flags (--explain / --trace=FILE / --metrics), peeled off
-/// the command line alongside --threads/--adaptive.
+/// the command line alongside --threads.
 struct ObsOptions {
   bool explain = false;     ///< Print EXPLAIN ANALYZE after the run.
   std::string trace_path;   ///< Chrome trace-event JSON output, if set.
@@ -115,7 +106,7 @@ struct ClientOptions {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: hierarq_cli [--threads=N] [--adaptive] "
+               "usage: hierarq_cli [--threads=N] "
                "<command> <query> [files...]\n"
                "commands:\n"
                "  classify   <query>\n"
@@ -157,13 +148,9 @@ int Usage() {
                "options:\n"
                "  --threads=N   intra-query parallelism (default 1 = "
                "serial; N>1 shards big Rule 1/2 steps across N threads)\n"
-               "  --adaptive    per-step adaptive execution: stats + cost "
-               "model pick threads/cutoff per elimination step "
-               "(--threads then caps the fan-out)\n"
                "  --explain     print EXPLAIN ANALYZE after the run: the "
-               "plan tree with per-step backend/threads/rows/time (and the "
-               "adaptive predicted-vs-chosen decision); not available in "
-               "batch mode\n"
+               "plan tree with per-step backend/threads/rows/time and the "
+               "serial/parallel execution; not available in batch mode\n"
                "  --trace=FILE  record per-step spans and write Chrome "
                "trace-event JSON to FILE (load in chrome://tracing or "
                "Perfetto)\n"
@@ -248,8 +235,7 @@ void PrintServiceStats(const EvalService& service, size_t num_workers) {
 }
 
 /// `hierarq_cli batch <solver> <queries-file> <dbs...> [workers]`.
-int RunBatch(int argc, char** argv, size_t threads, bool adaptive,
-             const ObsOptions& obs) {
+int RunBatch(int argc, char** argv, size_t threads, const ObsOptions& obs) {
   if (argc < 5) {
     return Usage();
   }
@@ -288,7 +274,6 @@ int RunBatch(int argc, char** argv, size_t threads, bool adaptive,
   EvalService::Options service_options;
   service_options.num_workers = workers;
   service_options.intra_query_threads = threads;
-  service_options.adaptive = adaptive;
   EvalService service(service_options);
 
   // Renders one result line per query; errors are reported inline so one
@@ -384,11 +369,11 @@ int RunBatch(int argc, char** argv, size_t threads, bool adaptive,
 template <TwoMonoid M, typename Render>
 int RunUpdateLoop(const ConjunctiveQuery& query, VersionedDatabase db,
                   M monoid, typename IncrementalView<M>::Annotator annotator,
-                  size_t threads, bool adaptive, const ObsOptions& obs,
-                  Dictionary* dict, Render render) {
-  IncrementalEvaluator<M> evaluator(
-      std::move(monoid), &db, std::move(annotator),
-      {kDefaultStorageKind, threads, adaptive});
+                  size_t threads, const ObsOptions& obs, Dictionary* dict,
+                  Render render) {
+  IncrementalEvaluator<M> evaluator(std::move(monoid), &db,
+                                    std::move(annotator),
+                                    {kDefaultStorageKind, threads});
   auto handle = evaluator.Attach(query);
   if (!handle.ok()) {
     return Fail(handle.status());
@@ -838,8 +823,7 @@ int RunClient(int argc, char** argv, const ClientOptions& options) {
 }
 
 /// `hierarq_cli update <solver> <query> <db>`.
-int RunUpdate(int argc, char** argv, size_t threads, bool adaptive,
-              const ObsOptions& obs) {
+int RunUpdate(int argc, char** argv, size_t threads, const ObsOptions& obs) {
   if (argc != 5) {
     return Usage();
   }
@@ -865,8 +849,8 @@ int RunUpdate(int argc, char** argv, size_t threads, bool adaptive,
     }
     return RunUpdateLoop(
         query, VersionedDatabase(*std::move(db)), CountMonoid{},
-        [](const Fact&, double) -> uint64_t { return 1; }, threads,
-        adaptive, obs, &dict, [](uint64_t value) {
+        [](const Fact&, double) -> uint64_t { return 1; }, threads, obs,
+        &dict, [](uint64_t value) {
           return "Q(D) = " + std::to_string(value);
         });
   }
@@ -889,12 +873,11 @@ int RunUpdate(int argc, char** argv, size_t threads, bool adaptive,
   };
   if (solver == "pqe") {
     return RunUpdateLoop(query, VersionedDatabase(*db), ProbMonoid{},
-                         weight_annotator, threads, adaptive, obs, &dict,
+                         weight_annotator, threads, obs, &dict,
                          render_double);
   }
   return RunUpdateLoop(query, VersionedDatabase(*db), ExpectationMonoid{},
-                       weight_annotator, threads, adaptive, obs, &dict,
-                       render_double);
+                       weight_annotator, threads, obs, &dict, render_double);
 }
 
 /// `snapshot <db> <dir>`: load a database file and commit it as a
@@ -959,7 +942,6 @@ int Run(int argc, char** argv) {
   // positional arguments in place. Bad thread counts and unknown --flags
   // are errors, not silent fallbacks to defaults.
   size_t threads = 1;
-  bool adaptive = false;
   ObsOptions obs;
   ClientOptions client_options;
   std::vector<char*> args;
@@ -976,10 +958,6 @@ int Run(int argc, char** argv) {
         return Usage();
       }
       threads = static_cast<size_t>(*parsed_threads);
-      continue;
-    }
-    if (arg == "--adaptive") {
-      adaptive = true;
       continue;
     }
     if (arg == "--explain") {
@@ -1088,10 +1066,10 @@ int Run(int argc, char** argv) {
   };
 
   if (command == "batch") {
-    return finish(RunBatch(argc, argv, threads, adaptive, obs));
+    return finish(RunBatch(argc, argv, threads, obs));
   }
   if (command == "update") {
-    return finish(RunUpdate(argc, argv, threads, adaptive, obs));
+    return finish(RunUpdate(argc, argv, threads, obs));
   }
   if (command == "client") {
     return finish(RunClient(argc, argv, client_options));
@@ -1117,7 +1095,6 @@ int Run(int argc, char** argv) {
   // performs.
   Evaluator::Options evaluator_options;
   evaluator_options.intra_query_threads = threads;
-  evaluator_options.adaptive = adaptive;
   Evaluator evaluator(evaluator_options);
 
   auto load = [&dict](const char* path) {
@@ -1160,7 +1137,7 @@ int Run(int argc, char** argv) {
     std::printf("Q(D) = %llu  (join engine)\n",
                 static_cast<unsigned long long>(BagSetCount(query, *db)));
     // The shared evaluator (not BagSetCountHierarchical) so the fast
-    // path honors --threads/--adaptive and shows up under --explain;
+    // path honors --threads and shows up under --explain;
     // both are Algorithm 1 in the counting semiring with annotation 1.
     auto fast = evaluator.Evaluate<CountMonoid>(
         query, CountMonoid{}, *db, [](const Fact&) -> uint64_t { return 1; });

@@ -30,7 +30,6 @@
 //   --queue-limit=N    admission queue depth (default 64; full = reject)
 //   --deadline-ms=N    default per-request deadline (0 = unbounded)
 //   --threads=N        intra-query parallelism for single huge replays
-//   --adaptive         per-step adaptive execution
 //   --slow-query-ms=N  log any query at or over N ms of evaluation wall
 //                      time (query text, QueryStats, EXPLAIN ANALYZE);
 //                      0 logs every query, unset disables the log
@@ -72,8 +71,7 @@ int Usage() {
       "                      [--workers=N] [--submitters=N] "
       "[--queue-limit=N]\n"
       "                      [--deadline-ms=N] [--threads=N]\n"
-      "                      [--adaptive] [--slow-query-ms=N] "
-      "[--log-json]\n");
+      "                      [--slow-query-ms=N] [--log-json]\n");
   return 2;
 }
 
@@ -100,7 +98,6 @@ int Run(int argc, char** argv) {
   bool tid = false;
   net::HierarqServer::Options options;
   size_t threads = 1;
-  bool adaptive = false;
   bool log_json = false;
 
   const auto parse_count = [](std::string_view text, int64_t min,
@@ -183,8 +180,6 @@ int Run(int argc, char** argv) {
       options.slow_query_ms = n;
     } else if (arg == "--log-json") {
       log_json = true;
-    } else if (arg == "--adaptive") {
-      adaptive = true;
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", argv[i]);
       return Usage();
@@ -195,7 +190,6 @@ int Run(int argc, char** argv) {
     return Usage();
   }
   options.async.service.intra_query_threads = threads;
-  options.async.service.adaptive = adaptive;
 
   // Startup-only: the global logger carries every structured event from
   // here on (lifecycle, slow queries, protocol errors), all on stderr so
