@@ -2,16 +2,12 @@
 // through hierarq_server's wire protocol (loopback TCP, length-prefixed
 // frames, async admission) rather than in-process EvalService calls.
 //
-// Claims emitted to BENCH_server.json for cross-PR tracking:
-//   (a) framing tax: the native binary format beats JSON framing on the
-//       same request stream (no number formatting / parsing per frame) —
-//       the "server/count/native/*" row should be >= its json sibling;
-//   (b) concurrency: throughput holds (1-core CI) or grows (multi-core)
-//       as client count rises, because connection threads only read
-//       frames and submitters do the evaluation — clients never
-//       serialize behind each other's parses.
-// Rows: requests/sec per (solver, wire format, client count), plus a
-// ping row isolating pure framing + loopback cost from evaluation.
+// Claim emitted to BENCH_server.json for cross-PR tracking: throughput
+// holds (1-core CI) or grows (multi-core) as client count rises, because
+// connection threads only read frames and submitters do the evaluation —
+// clients never serialize behind each other's parses.
+// Rows: count requests/sec per client count, plus a ping row isolating
+// pure framing + loopback cost from evaluation.
 
 #include <benchmark/benchmark.h>
 
@@ -39,27 +35,26 @@ Database MakeWorkload() {
   const ConjunctiveQuery query = ParseQueryOrDie(kQueryText);
   Rng rng(17);
   DataGenOptions gen;
-  // Small on purpose: the bench contrasts FRAMING costs (native vs
-  // json), so per-request evaluation must not drown the wire tax.
+  // Small on purpose: per-request evaluation must not drown the wire
+  // and admission costs the rows measure.
   gen.tuples_per_relation = 200;
   gen.domain_size = 100;
   return RandomDatabaseForQuery(query, rng, gen);
 }
 
-/// `clients` threads hammer the server with synchronous count queries in
-/// `format` framing for `seconds`; returns total requests/sec. Each
-/// thread owns one connection (HierarqClient is single-threaded), so the
-/// sweep measures exactly what N independent callers would see.
-double MeasureRequestRate(uint16_t port, net::WireFormat format,
-                          size_t clients, double seconds) {
+/// `clients` threads hammer the server with synchronous count queries
+/// for `seconds`; returns total requests/sec. Each thread owns one
+/// connection (HierarqClient is single-threaded), so the sweep measures
+/// exactly what N independent callers would see.
+double MeasureRequestRate(uint16_t port, size_t clients, double seconds) {
   std::atomic<bool> go{false};
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> requests{0};
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (size_t i = 0; i < clients; ++i) {
-    threads.emplace_back([&, format] {
-      net::HierarqClient client(format);
+    threads.emplace_back([&] {
+      net::HierarqClient client;
       if (!client.Connect("127.0.0.1", port).ok()) {
         return;
       }
@@ -91,7 +86,7 @@ double MeasureRequestRate(uint16_t port, net::WireFormat format,
 }
 
 double MeasurePingRate(uint16_t port, double seconds) {
-  net::HierarqClient client(net::WireFormat::kNative);
+  net::HierarqClient client;
   if (!client.Connect("127.0.0.1", port).ok()) {
     return 0.0;
   }
@@ -103,7 +98,7 @@ void Report() {
   using bench::PrintNote;
   using bench::PrintRow;
   PrintHeader("N1: hierarq_server — wire-protocol request throughput",
-              "native framing >= json framing; clients do not serialize");
+              "clients do not serialize");
   bench::JsonReport report("server", "BENCH_server.json");
 
   Dictionary dict;
@@ -126,33 +121,15 @@ void Report() {
   report.AddRow("server/ping/native/clients_1",
                 {{"clients", 1.0}, {"requests_per_sec", ping_rps}});
 
-  double native_1 = 0.0;
-  double json_1 = 0.0;
-  for (const net::WireFormat format :
-       {net::WireFormat::kNative, net::WireFormat::kJson}) {
-    const char* format_name =
-        format == net::WireFormat::kNative ? "native" : "json";
-    for (const size_t clients : {1, 2, 4}) {
-      const double rps =
-          MeasureRequestRate(server.port(), format, clients, 0.4);
-      if (clients == 1) {
-        (format == net::WireFormat::kNative ? native_1 : json_1) = rps;
-      }
-      char measured[64];
-      std::snprintf(measured, sizeof(measured), "%9.1f req/s", rps);
-      PrintRow("count via " + std::string(format_name) + ", " +
-                   std::to_string(clients) + " client(s)",
-               "-", measured);
-      report.AddRow("server/count/" + std::string(format_name) +
-                        "/clients_" + std::to_string(clients),
-                    {{"clients", static_cast<double>(clients)},
-                     {"requests_per_sec", rps}});
-    }
-  }
-  if (json_1 > 0.0) {
+  for (const size_t clients : {1, 2, 4}) {
+    const double rps = MeasureRequestRate(server.port(), clients, 0.4);
     char measured[64];
-    std::snprintf(measured, sizeof(measured), "%.2fx", native_1 / json_1);
-    PrintRow("native vs json framing (1 client)", ">= 1x", measured);
+    std::snprintf(measured, sizeof(measured), "%9.1f req/s", rps);
+    PrintRow("count, " + std::to_string(clients) + " client(s)", "-",
+             measured);
+    report.AddRow("server/count/native/clients_" + std::to_string(clients),
+                  {{"clients", static_cast<double>(clients)},
+                   {"requests_per_sec", rps}});
   }
   PrintNote("requests_per_sec includes parse + plan-cache hit + replay; "
             "ping row is the framing floor.");
@@ -170,8 +147,7 @@ void BM_Server_CountRoundTrip(benchmark::State& state) {
     state.SkipWithError("server failed to start");
     return;
   }
-  net::HierarqClient client(state.range(0) == 0 ? net::WireFormat::kNative
-                                                : net::WireFormat::kJson);
+  net::HierarqClient client;
   if (!client.Connect("127.0.0.1", server.port()).ok()) {
     state.SkipWithError("client failed to connect");
     return;
@@ -180,11 +156,10 @@ void BM_Server_CountRoundTrip(benchmark::State& state) {
     benchmark::DoNotOptimize(
         client.Query(net::SolverKind::kCount, kQueryText));
   }
-  state.counters["json"] = static_cast<double>(state.range(0));
   client.Close();
   server.Stop();
 }
-BENCHMARK(BM_Server_CountRoundTrip)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_Server_CountRoundTrip)->Arg(0)->UseRealTime();
 
 }  // namespace
 }  // namespace hierarq

@@ -88,8 +88,8 @@ void HierarqClient::Close() {
 
 Result<Frame> HierarqClient::RoundTrip(FrameType type, uint16_t flags,
                                        std::string_view payload,
-                                       WireFormat format,
-                                       FrameType expected) {
+                                       FrameType expected,
+                                       WireFormat format) {
   if (fd_ < 0) {
     return Status::Internal("client is not connected");
   }
@@ -104,28 +104,21 @@ Result<Frame> HierarqClient::RoundTrip(FrameType type, uint16_t flags,
       }
       return frame.status();
     }
-    if (frame->header.request_id == 0 &&
-        frame->header.type == FrameType::kErrorFrame) {
-      // Request id 0 is the CONNECTION-scoped error convention (wire.h):
-      // the server rejected the connection itself (e.g. the connection
-      // cap) before any request existed. Client ids start at 1, so this
-      // can never collide with a response of ours — surface it instead
-      // of skipping and hanging on a socket that will never answer.
-      Result<ErrorPayload> error =
-          DecodeError(frame->payload, frame->header.format);
-      if (!error.ok()) {
-        return error.status();
-      }
-      return Status(error->code, error->message);
-    }
-    if (frame->header.request_id != request_id) {
+    // Request id 0 is the CONNECTION-scoped error convention (wire.h):
+    // the server rejected the connection itself (e.g. the connection cap)
+    // before any request existed. Client ids start at 1, so this can
+    // never collide with a response of ours — surface it instead of
+    // skipping and hanging on a socket that will never answer.
+    const bool connection_error =
+        frame->header.request_id == 0 &&
+        frame->header.type == FrameType::kErrorFrame;
+    if (!connection_error && frame->header.request_id != request_id) {
       // Not ours (e.g. a stale response after a timeout); skip it — ids
       // are strictly increasing per connection, so ours is still ahead.
       continue;
     }
     if (frame->header.type == FrameType::kErrorFrame) {
-      Result<ErrorPayload> error =
-          DecodeError(frame->payload, frame->header.format);
+      Result<ErrorPayload> error = DecodeError(frame->payload);
       if (!error.ok()) {
         return error.status();
       }
@@ -154,9 +147,10 @@ Result<QueryResult> HierarqClient::Query(SolverKind solver,
   const uint16_t flags =
       static_cast<uint16_t>((capture_trace ? kFlagTrace : 0) |
                             (capture_stats ? kFlagStats : 0));
-  const std::string encoded = EncodeQueryRequest(request, format());
+  const std::string encoded =
+      EncodeQueryRequest(request, WireFormat::kNative);
   Result<Frame> frame = RoundTrip(FrameType::kQueryRequest, flags, encoded,
-                                  format(), FrameType::kResultFrame);
+                                  FrameType::kResultFrame);
   // The retry loop (opt-in, Options::max_retries). ONLY a decoded
   // kResourceExhausted error frame retries: the server answered
   // completely ("queue full, come back later") and applied nothing, so
@@ -179,7 +173,7 @@ Result<QueryResult> HierarqClient::Query(SolverKind solver,
                             static_cast<int64_t>(delay_ms)));
     std::this_thread::sleep_for(std::chrono::milliseconds(jittered_ms));
     ++retries_;
-    frame = RoundTrip(FrameType::kQueryRequest, flags, encoded, format(),
+    frame = RoundTrip(FrameType::kQueryRequest, flags, encoded,
                       FrameType::kResultFrame);
   }
   if (!frame.ok()) {
@@ -188,18 +182,18 @@ Result<QueryResult> HierarqClient::Query(SolverKind solver,
   // Decode by what the RESPONSE announces, not what was asked: an old
   // server ignores unknown flag bits and answers without the sections.
   last_response_had_stats_ = (frame->header.flags & kFlagStats) != 0;
-  return DecodeQueryResult(frame->payload, frame->header.format,
+  return DecodeQueryResult(frame->payload, WireFormat::kNative,
                            last_response_had_stats_,
                            (frame->header.flags & kFlagTrace) != 0);
 }
 
 Result<StatusPayload> HierarqClient::ServerStatus() {
-  Result<Frame> frame = RoundTrip(FrameType::kStatusRequest, 0, "", format(),
-                                  FrameType::kStatusResponse);
+  Result<Frame> frame =
+      RoundTrip(FrameType::kStatusRequest, 0, "", FrameType::kStatusResponse);
   if (!frame.ok()) {
     return frame.status();
   }
-  return DecodeStatusPayload(frame->payload, frame->header.format);
+  return DecodeStatusPayload(frame->payload);
 }
 
 std::string HierarqClient::MintTraceId() {
@@ -214,17 +208,17 @@ std::string HierarqClient::MintTraceId() {
 }
 
 Result<DeltaAck> HierarqClient::ApplyDelta(std::string_view line) {
-  Result<Frame> frame = RoundTrip(FrameType::kDeltaBatch, 0, line, format(),
-                                  FrameType::kDeltaAck);
+  Result<Frame> frame =
+      RoundTrip(FrameType::kDeltaBatch, 0, line, FrameType::kDeltaAck);
   if (!frame.ok()) {
     return frame.status();
   }
-  return DecodeDeltaAck(frame->payload, frame->header.format);
+  return DecodeDeltaAck(frame->payload);
 }
 
 Result<std::string> HierarqClient::Metrics(WireFormat rendering) {
   Result<Frame> frame = RoundTrip(FrameType::kMetricsRequest, 0, "",
-                                  rendering, FrameType::kMetricsResponse);
+                                  FrameType::kMetricsResponse, rendering);
   if (!frame.ok()) {
     return frame.status();
   }
@@ -232,13 +226,11 @@ Result<std::string> HierarqClient::Metrics(WireFormat rendering) {
 }
 
 Status HierarqClient::Ping() {
-  return RoundTrip(FrameType::kPing, 0, "", format(), FrameType::kPong)
-      .status();
+  return RoundTrip(FrameType::kPing, 0, "", FrameType::kPong).status();
 }
 
 Status HierarqClient::Shutdown() {
-  return RoundTrip(FrameType::kShutdown, 0, "", format(),
-                   FrameType::kShutdown)
+  return RoundTrip(FrameType::kShutdown, 0, "", FrameType::kShutdown)
       .status();
 }
 

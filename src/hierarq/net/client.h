@@ -9,9 +9,8 @@
 /// reads frames until the echoed id matches (a client that pipelines via
 /// multiple threads should use one HierarqClient per thread — this class
 /// is not thread-safe), converts kErrorFrame answers into their carried
-/// `Status`, and returns the decoded payload. The wire format chosen at
-/// construction applies to every request (the server answers in kind);
-/// `Metrics` is the exception, where the format picks the RENDERING
+/// `Status`, and returns the decoded payload. Every frame is native;
+/// `Metrics` alone takes a format, which picks the server's RENDERING
 /// (native = text, JSON = machine-readable) per call.
 
 #include <cstdint>
@@ -33,7 +32,6 @@ Result<std::pair<std::string, uint16_t>> ParseHostPort(
 class HierarqClient {
  public:
   struct Options {
-    WireFormat format = WireFormat::kNative;
     /// Opt-in retry for TRANSIENT query rejections: a `Query` answered
     /// with a complete kResourceExhausted error frame (the server's
     /// admission queue is full) is retried up to this many times with
@@ -51,8 +49,7 @@ class HierarqClient {
     uint64_t retry_jitter_seed = 0x9e3779b97f4a7c15ULL;
   };
 
-  explicit HierarqClient(WireFormat format = WireFormat::kNative)
-      : HierarqClient(Options{.format = format}) {}
+  HierarqClient() : HierarqClient(Options{}) {}
   explicit HierarqClient(Options options)
       : options_(options), rng_(options.retry_jitter_seed) {}
   ~HierarqClient() { Close(); }
@@ -77,8 +74,6 @@ class HierarqClient {
   bool connected() const { return fd_ >= 0; }
   void Close();
 
-  WireFormat format() const { return options_.format; }
-  void set_format(WireFormat format) { options_.format = format; }
   const Options& options() const { return options_; }
 
   /// Total retries performed by `Query` over this client's lifetime.
@@ -127,10 +122,11 @@ class HierarqClient {
  private:
   /// Writes one request, reads until the response with the same id,
   /// converts error frames to their Status. `expected` is the success
-  /// frame type; anything else is a protocol error.
+  /// frame type; anything else is a protocol error. Only `Metrics`
+  /// passes a `format` other than native.
   Result<Frame> RoundTrip(FrameType type, uint16_t flags,
-                          std::string_view payload, WireFormat format,
-                          FrameType expected);
+                          std::string_view payload, FrameType expected,
+                          WireFormat format = WireFormat::kNative);
 
   int fd_ = -1;
   Options options_;

@@ -49,6 +49,13 @@ HierarqServer::Connection::~Connection() {
   }
 }
 
+void HierarqServer::Connection::Send(FrameType type, uint64_t request_id,
+                                     std::string_view payload,
+                                     uint16_t flags, WireFormat format) {
+  std::lock_guard<std::mutex> lock(write_mutex);
+  (void)WriteFrame(fd, type, format, flags, request_id, payload);
+}
+
 HierarqServer::HierarqServer(Options options, VersionedDatabase db,
                              Database endogenous, Dictionary* dict)
     : options_(options),
@@ -81,6 +88,12 @@ void HierarqServer::RecordError(const Status& status) {
     }
   }
   logger().Warn("error_frame", {{"status", status.ToString()}});
+}
+
+void HierarqServer::SendError(Connection& connection, uint64_t request_id,
+                              const Status& status) {
+  RecordError(status);
+  connection.Send(FrameType::kErrorFrame, request_id, EncodeError(status));
 }
 
 HierarqServer::~HierarqServer() { Stop(); }
@@ -218,8 +231,7 @@ void HierarqServer::AcceptLoop() {
                     {{"max_connections",
                       std::to_string(options_.max_connections)}});
       (void)WriteFrame(fd, FrameType::kErrorFrame, WireFormat::kNative, 0,
-                       /*request_id=*/0,
-                       EncodeError(status, WireFormat::kNative));
+                       /*request_id=*/0, EncodeError(status));
       ::close(fd);
       continue;
     }
@@ -234,9 +246,6 @@ void HierarqServer::AcceptLoop() {
   }
 }
 
-// Every response goes out under the connection's write mutex — shared by
-// the connection thread (errors, acks, pongs) and submitter threads
-// (query results), so two frames never interleave on the wire.
 void HierarqServer::ServeConnection(std::shared_ptr<Connection> connection) {
   // The count was claimed in AcceptLoop (against the connection cap).
   // Decrement on EVERY exit path; the count feeds kStatus.
@@ -245,33 +254,35 @@ void HierarqServer::ServeConnection(std::shared_ptr<Connection> connection) {
     ~ConnectionGuard() { count->fetch_sub(1, std::memory_order_relaxed); }
   } guard{&active_connections_};
 
-  const auto send = [&connection](FrameType type, WireFormat format,
-                                  uint16_t flags, uint64_t request_id,
-                                  std::string_view payload) {
-    std::lock_guard<std::mutex> lock(connection->write_mutex);
-    (void)WriteFrame(connection->fd, type, format, flags, request_id,
-                     payload);
-  };
-  const auto send_error = [this, &send](const FrameHeader& request,
-                                        const Status& status) {
-    RecordError(status);
-    send(FrameType::kErrorFrame, request.format, 0, request.request_id,
-         EncodeError(status, request.format));
-  };
-
   while (true) {
     Result<Frame> frame = ReadFrame(connection->fd);
     if (!frame.ok()) {
       if (!frame.status().Is(StatusCode::kNotFound)) {
         // Protocol violation: answer once, then close — a desynchronized
         // length-prefixed stream cannot be re-synchronized.
-        FrameHeader poison;
-        send_error(poison, frame.status());
+        SendError(*connection, /*request_id=*/0, frame.status());
       }
       return;
     }
     frames_total_.fetch_add(1, std::memory_order_relaxed);
-    switch (frame->header.type) {
+    const FrameHeader& header = frame->header;
+    // JSON is a rendering of metrics and status only. Refuse it anywhere
+    // else before decoding or locking anything: a JSON delta would
+    // otherwise be applied (its payload is the same text either way) and
+    // acked in a format the client cannot read. The frame was read
+    // whole, so the stream is still in sync and the connection stays.
+    if (header.format == WireFormat::kJson &&
+        header.type != FrameType::kMetricsRequest &&
+        header.type != FrameType::kStatusRequest) {
+      SendError(*connection, header.request_id,
+                Status::InvalidArgument(
+                    "frame type " +
+                    std::to_string(static_cast<int>(header.type)) +
+                    ": json payloads are served only for metrics and "
+                    "status requests"));
+      continue;
+    }
+    switch (header.type) {
       case FrameType::kQueryRequest:
         frames_query_->Add();
         HandleQuery(connection, *frame);
@@ -290,23 +301,21 @@ void HierarqServer::ServeConnection(std::shared_ptr<Connection> connection) {
         break;
       case FrameType::kPing:
         frames_ping_->Add();
-        send(FrameType::kPong, frame->header.format, 0,
-             frame->header.request_id, "");
+        connection->Send(FrameType::kPong, header.request_id, "");
         break;
       case FrameType::kShutdown:
         frames_shutdown_->Add();
         // Ack before flagging: the client's round-trip completes, then
         // the owning thread (blocked in Wait) runs Stop.
-        send(FrameType::kShutdown, frame->header.format, 0,
-             frame->header.request_id, "");
+        connection->Send(FrameType::kShutdown, header.request_id, "");
         RequestShutdown();
         return;
       default:
-        send_error(frame->header,
-                   Status::InvalidArgument(
-                       "unexpected frame type " +
-                       std::to_string(static_cast<int>(frame->header.type)) +
-                       " for a server"));
+        SendError(*connection, header.request_id,
+                  Status::InvalidArgument(
+                      "unexpected frame type " +
+                      std::to_string(static_cast<int>(header.type)) +
+                      " for a server"));
         return;
     }
   }
@@ -315,33 +324,15 @@ void HierarqServer::ServeConnection(std::shared_ptr<Connection> connection) {
 void HierarqServer::HandleQuery(
     const std::shared_ptr<Connection>& connection, const Frame& frame) {
   const FrameHeader header = frame.header;
-  const auto send = [connection](FrameType type, WireFormat format,
-                                 uint16_t flags, uint64_t request_id,
-                                 std::string_view payload) {
-    std::lock_guard<std::mutex> lock(connection->write_mutex);
-    (void)WriteFrame(connection->fd, type, format, flags, request_id,
-                     payload);
-  };
-  // By VALUE: this lambda is copied into the async job below and runs on
-  // a submitter thread after this frame of HandleQuery has returned — a
-  // by-reference capture of `send`/`header` would dangle. `this` stays
-  // valid on submitter threads: Stop() drains the async service before
-  // the server is torn down.
-  const auto send_error = [this, send, header](const Status& status) {
-    RecordError(status);
-    send(FrameType::kErrorFrame, header.format, 0, header.request_id,
-         EncodeError(status, header.format));
-  };
-
   Result<QueryRequest> request =
-      DecodeQueryRequest(frame.payload, header.format);
+      DecodeQueryRequest(frame.payload, WireFormat::kNative);
   if (!request.ok()) {
-    send_error(request.status());
+    SendError(*connection, header.request_id, request.status());
     return;
   }
   Result<ConjunctiveQuery> parsed = ParseQuery(request->query);
   if (!parsed.ok()) {
-    send_error(parsed.status());
+    SendError(*connection, header.request_id, parsed.status());
     return;
   }
   const SolverKind solver = request->solver;
@@ -352,10 +343,13 @@ void HierarqServer::HandleQuery(
   auto query =
       std::make_shared<ConjunctiveQuery>(std::move(parsed).ValueOrDie());
 
+  // Captures by VALUE: the job runs on a submitter thread after this
+  // HandleQuery has returned. `this` stays valid there: Stop() drains the
+  // async service before the server is torn down.
   const Status admitted = async_.Submit(
       [this, connection, query, header, solver, want_trace, want_stats,
-       trace_id, query_text, send,
-       send_error](EvalService& service, const CancelToken& cancel) {
+       trace_id, query_text](EvalService& service,
+                             const CancelToken& cancel) {
         QueryResult result;
         result.solver = solver;
         // Accounting is collected when the client asked for it OR the
@@ -426,21 +420,21 @@ void HierarqServer::HandleQuery(
         }
 
         if (!status.ok()) {
-          send_error(status);
+          SendError(*connection, header.request_id, status);
           return;
         }
         const uint16_t flags =
             static_cast<uint16_t>((want_trace ? kFlagTrace : 0) |
                                   (want_stats ? kFlagStats : 0));
-        send(FrameType::kResultFrame, header.format, flags,
-             header.request_id,
-             EncodeQueryResult(result, header.format, want_stats,
-                               want_trace));
+        connection->Send(FrameType::kResultFrame, header.request_id,
+                         EncodeQueryResult(result, WireFormat::kNative,
+                                           want_stats, want_trace),
+                         flags);
       },
       request->deadline_ms);
   if (!admitted.ok()) {
     // Load shed at the door: the rejection is this request's answer.
-    send_error(admitted);
+    SendError(*connection, header.request_id, admitted);
   }
 }
 
@@ -519,13 +513,6 @@ Status HierarqServer::EvaluateSolver(EvalService& service,
 
 void HierarqServer::HandleDelta(const std::shared_ptr<Connection>& connection,
                                 const Frame& frame) {
-  const auto send = [&connection](FrameType type, WireFormat format,
-                                  uint16_t flags, uint64_t request_id,
-                                  std::string_view payload) {
-    std::lock_guard<std::mutex> lock(connection->write_mutex);
-    (void)WriteFrame(connection->fd, type, format, flags, request_id,
-                     payload);
-  };
   DeltaAck ack;
   {
     // Unique from PARSE, not just apply: ParseDeltaLine interns new
@@ -538,10 +525,7 @@ void HierarqServer::HandleDelta(const std::shared_ptr<Connection>& connection,
       // The whole line was rejected before anything was applied — the
       // generation is unchanged, exactly the CLI update-mode contract.
       lock.unlock();
-      RecordError(batch.status());
-      send(FrameType::kErrorFrame, frame.header.format, 0,
-           frame.header.request_id,
-           EncodeError(batch.status(), frame.header.format));
+      SendError(*connection, frame.header.request_id, batch.status());
       return;
     }
     if (options_.persist != nullptr) {
@@ -559,10 +543,7 @@ void HierarqServer::HandleDelta(const std::shared_ptr<Connection>& connection,
         // crash now recovers to the pre-batch generation. Consistent
         // either way.
         lock.unlock();
-        RecordError(appended);
-        send(FrameType::kErrorFrame, frame.header.format, 0,
-             frame.header.request_id,
-             EncodeError(appended, frame.header.format));
+        SendError(*connection, frame.header.request_id, appended);
         return;
       }
     }
@@ -585,8 +566,8 @@ void HierarqServer::HandleDelta(const std::shared_ptr<Connection>& connection,
       }
     }
   }
-  send(FrameType::kDeltaAck, frame.header.format, 0, frame.header.request_id,
-       EncodeDeltaAck(ack, frame.header.format));
+  connection->Send(FrameType::kDeltaAck, frame.header.request_id,
+                   EncodeDeltaAck(ack));
 }
 
 void HierarqServer::HandleMetrics(
@@ -605,9 +586,8 @@ void HierarqServer::HandleMetrics(
               "# async\n" + async_.metrics().RenderText() +
               "# server\n" + server_registry_.RenderText();
   }
-  std::lock_guard<std::mutex> lock(connection->write_mutex);
-  (void)WriteFrame(connection->fd, FrameType::kMetricsResponse,
-                   frame.header.format, 0, frame.header.request_id, payload);
+  connection->Send(FrameType::kMetricsResponse, frame.header.request_id,
+                   payload, 0, frame.header.format);
 }
 
 void HierarqServer::HandleStatus(
@@ -625,11 +605,9 @@ void HierarqServer::HandleStatus(
     status.recent_errors.assign(recent_errors_.begin(),
                                 recent_errors_.end());
   }
-  const std::string payload =
-      EncodeStatusPayload(status, frame.header.format);
-  std::lock_guard<std::mutex> lock(connection->write_mutex);
-  (void)WriteFrame(connection->fd, FrameType::kStatusResponse,
-                   frame.header.format, 0, frame.header.request_id, payload);
+  connection->Send(FrameType::kStatusResponse, frame.header.request_id,
+                   EncodeStatusPayload(status, frame.header.format), 0,
+                   frame.header.format);
 }
 
 }  // namespace hierarq::net

@@ -20,7 +20,13 @@
 ///                     write lock; kDeltaAck carries the new generation.
 ///   kMetricsRequest-> MetricsRegistry render (global + service + async),
 ///                     text or JSON per the frame's format.
+///   kStatusRequest -> kStatusResponse, native or JSON per the format.
 ///   kPing          -> kPong. kShutdown -> ack, then the server stops.
+///
+/// Every response is native except the JSON metrics and status
+/// renderings. A kJson frame of any other type is answered with one
+/// kInvalidArgument error frame before its payload is decoded; the
+/// frame was read whole, so the connection stays open.
 ///
 /// Concurrency: queries take the database lock SHARED (they only read;
 /// EvalService's annotation cache keys on the generation), delta applies
@@ -137,6 +143,11 @@ class HierarqServer {
   struct Connection {
     explicit Connection(int fd) : fd(fd) {}
     ~Connection();
+    /// Writes one response frame under `write_mutex`, so frames from the
+    /// connection thread and from submitter threads never interleave.
+    /// Only the metrics and status responses pass a `format`.
+    void Send(FrameType type, uint64_t request_id, std::string_view payload,
+              uint16_t flags = 0, WireFormat format = WireFormat::kNative);
     int fd;
     std::mutex write_mutex;
   };
@@ -164,6 +175,9 @@ class HierarqServer {
   /// Records an outgoing error frame in the last-N ring, the error
   /// counter, and the structured log.
   void RecordError(const Status& status);
+  /// RecordError, then answers `request_id` with a native error frame.
+  void SendError(Connection& connection, uint64_t request_id,
+                 const Status& status);
   obs::Logger& logger() {
     return options_.logger != nullptr ? *options_.logger
                                       : obs::Logger::Global();

@@ -3,11 +3,11 @@
 #include <errno.h>
 #include <unistd.h>
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
+
+#include "hierarq/obs/log.h"
+#include "hierarq/util/logging.h"
 
 namespace hierarq::net {
 
@@ -121,352 +121,6 @@ class Cursor {
   bool ok_ = true;
 };
 
-// -- Minimal JSON -----------------------------------------------------
-// The kJson format exists as the interop / A-B baseline, so it is
-// deliberately hand-rolled like the rest of the protocol: a writer for
-// the flat objects we emit and a strict recursive-descent reader for
-// the same shapes. Rejects (Status) on anything malformed.
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  *out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
-}
-
-void AppendJsonDouble(std::string* out, double v) {
-  char buf[32];
-  // %.17g round-trips every finite double exactly.
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
-
-/// A parsed JSON value — only what the protocol's flat objects need.
-struct JsonValue {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(std::string_view key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    JsonValue v;
-    HIERARQ_RETURN_NOT_OK(ParseValue(&v, /*depth=*/0));
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Err("trailing characters after JSON value");
-    }
-    return v;
-  }
-
- private:
-  Status Err(const std::string& what) const {
-    return Status::ParseError("json: " + what + " at offset " +
-                              std::to_string(pos_));
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  Status ParseValue(JsonValue* out, int depth) {
-    if (depth > 32) {
-      return Err("nesting too deep");
-    }
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      return Err("unexpected end of input");
-    }
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(out, depth);
-    if (c == '[') return ParseArray(out, depth);
-    if (c == '"') {
-      out->kind = JsonValue::kString;
-      return ParseString(&out->string);
-    }
-    if (c == 't' || c == 'f') return ParseLiteralBool(out);
-    if (c == 'n') return ParseLiteralNull(out);
-    return ParseNumber(out);
-  }
-
-  Status ParseObject(JsonValue* out, int depth) {
-    out->kind = JsonValue::kObject;
-    ++pos_;  // '{'
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return Status::OK();
-    }
-    while (true) {
-      SkipSpace();
-      std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Err("expected object key");
-      }
-      HIERARQ_RETURN_NOT_OK(ParseString(&key));
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Err("expected ':'");
-      }
-      ++pos_;
-      JsonValue value;
-      HIERARQ_RETURN_NOT_OK(ParseValue(&value, depth + 1));
-      out->object.emplace_back(std::move(key), std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) {
-        return Err("unterminated object");
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Err("expected ',' or '}'");
-    }
-  }
-
-  Status ParseArray(JsonValue* out, int depth) {
-    out->kind = JsonValue::kArray;
-    ++pos_;  // '['
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return Status::OK();
-    }
-    while (true) {
-      JsonValue value;
-      HIERARQ_RETURN_NOT_OK(ParseValue(&value, depth + 1));
-      out->array.push_back(std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) {
-        return Err("unterminated array");
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Err("expected ',' or ']'");
-    }
-  }
-
-  Status ParseString(std::string* out) {
-    ++pos_;  // '"'
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return Status::OK();
-      }
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        break;
-      }
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'n': *out += '\n'; break;
-        case 'r': *out += '\r'; break;
-        case 't': *out += '\t'; break;
-        case 'b': *out += '\b'; break;
-        case 'f': *out += '\f'; break;
-        case 'u': {
-          if (text_.size() - pos_ < 4) {
-            return Err("bad \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return Err("bad \\u escape");
-          }
-          // We only ever emit \u00xx for control bytes; anything in the
-          // BMP decodes to UTF-8 here for completeness.
-          if (code < 0x80) {
-            *out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            *out += static_cast<char>(0xc0 | (code >> 6));
-            *out += static_cast<char>(0x80 | (code & 0x3f));
-          } else {
-            *out += static_cast<char>(0xe0 | (code >> 12));
-            *out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            *out += static_cast<char>(0x80 | (code & 0x3f));
-          }
-          break;
-        }
-        default:
-          return Err("bad escape");
-      }
-    }
-    return Err("unterminated string");
-  }
-
-  Status ParseLiteralBool(JsonValue* out) {
-    if (text_.substr(pos_, 4) == "true") {
-      out->kind = JsonValue::kBool;
-      out->boolean = true;
-      pos_ += 4;
-      return Status::OK();
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      out->kind = JsonValue::kBool;
-      out->boolean = false;
-      pos_ += 5;
-      return Status::OK();
-    }
-    return Err("bad literal");
-  }
-
-  Status ParseLiteralNull(JsonValue* out) {
-    if (text_.substr(pos_, 4) == "null") {
-      out->kind = JsonValue::kNull;
-      pos_ += 4;
-      return Status::OK();
-    }
-    return Err("bad literal");
-  }
-
-  Status ParseNumber(JsonValue* out) {
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Err("expected value");
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    out->number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      return Err("bad number '" + token + "'");
-    }
-    out->kind = JsonValue::kNumber;
-    return Status::OK();
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-/// Fetches a required field of a given kind from a decoded object.
-Result<const JsonValue*> Field(const JsonValue& doc, std::string_view key,
-                               JsonValue::Kind kind) {
-  if (doc.kind != JsonValue::kObject) {
-    return Status::InvalidArgument("json payload is not an object");
-  }
-  const JsonValue* v = doc.Find(key);
-  if (v == nullptr || v->kind != kind) {
-    return Status::InvalidArgument("json payload missing field '" +
-                                   std::string(key) + "'");
-  }
-  return v;
-}
-
-/// u64 JSON codec, decode side. Encoders emit u64s as decimal STRINGS
-/// ("18446744073709551615"): a JSON number routes through double in this
-/// parser (and most others) and silently corrupts values past 2^53 —
-/// resilience's infinity sentinel is exactly such a value. A plain
-/// number is still accepted (hand-written clients) when it is a
-/// non-negative integer small enough to be exact in a double.
-Result<uint64_t> U64Field(const JsonValue& doc, std::string_view key) {
-  if (doc.kind != JsonValue::kObject) {
-    return Status::InvalidArgument("json payload is not an object");
-  }
-  const JsonValue* v = doc.Find(key);
-  if (v == nullptr) {
-    return Status::InvalidArgument("json payload missing field '" +
-                                   std::string(key) + "'");
-  }
-  if (v->kind == JsonValue::kString) {
-    if (v->string.empty()) {
-      return Status::InvalidArgument("json field '" + std::string(key) +
-                                     "': empty u64 string");
-    }
-    uint64_t out = 0;
-    for (const char c : v->string) {
-      if (c < '0' || c > '9' ||
-          out > (~uint64_t{0} - static_cast<uint64_t>(c - '0')) / 10) {
-        return Status::InvalidArgument("json field '" + std::string(key) +
-                                       "': not a u64: '" + v->string + "'");
-      }
-      out = out * 10 + static_cast<uint64_t>(c - '0');
-    }
-    return out;
-  }
-  if (v->kind == JsonValue::kNumber) {
-    const double n = v->number;
-    if (n < 0 || n > 9007199254740992.0 ||
-        n != static_cast<double>(static_cast<uint64_t>(n))) {
-      return Status::InvalidArgument(
-          "json field '" + std::string(key) +
-          "': number is not an exactly-representable u64 (send it as a "
-          "string)");
-    }
-    return static_cast<uint64_t>(n);
-  }
-  return Status::InvalidArgument("json field '" + std::string(key) +
-                                 "' must be a string or number");
-}
-
 // -- QueryStats section ------------------------------------------------
 // The flag-gated trailing block of kResultFrame. Field order is the
 // declaration order in obs/query_stats.h; both sides hardcode it, so a
@@ -487,7 +141,9 @@ void PutStatsNative(std::string* out, const obs::QueryStats& stats) {
   *out += static_cast<char>(stats.plan_cache_hit ? 1 : 0);
 }
 
-void ReadStatsNative(Cursor* cursor, obs::QueryStats* stats) {
+/// Rejects a plan_cache_hit byte other than 0 or 1: it would decode to
+/// `true` and re-encode as 1, so the bytes would not round-trip.
+Status ReadStatsNative(Cursor* cursor, obs::QueryStats* stats) {
   stats->rule1_rows_scanned = cursor->U64();
   stats->rule1_rows_emitted = cursor->U64();
   stats->rule2_rows_scanned = cursor->U64();
@@ -498,57 +154,40 @@ void ReadStatsNative(Cursor* cursor, obs::QueryStats* stats) {
   stats->cancel_checkpoints = cursor->U64();
   stats->queue_wait_ns = cursor->U64();
   stats->exec_ns = cursor->U64();
-  stats->plan_cache_hit = cursor->U8() != 0;
+  const uint8_t plan_cache_hit = cursor->U8();
+  if (plan_cache_hit > 1) {
+    return Status::InvalidArgument("result: plan_cache_hit byte " +
+                                   std::to_string(plan_cache_hit) +
+                                   " is not 0 or 1");
+  }
+  stats->plan_cache_hit = plan_cache_hit == 1;
+  return Status::OK();
 }
 
-void AppendStatsJson(std::string* out, const obs::QueryStats& stats) {
-  // u64s as decimal strings, like every u64 in this protocol (see
-  // U64Field): ns totals overflow a JSON double's 2^53 integer range.
-  const auto field = [out](const char* key, uint64_t value) {
-    *out += '"';
-    *out += key;
-    *out += "\":\"";
-    *out += std::to_string(value);
-    *out += "\",";
-  };
-  *out += '{';
-  field("rule1_rows_scanned", stats.rule1_rows_scanned);
-  field("rule1_rows_emitted", stats.rule1_rows_emitted);
-  field("rule2_rows_scanned", stats.rule2_rows_scanned);
-  field("rule2_rows_emitted", stats.rule2_rows_emitted);
-  field("steps", stats.steps_total);
-  field("serial_steps", stats.steps_serial);
-  field("parallel_steps", stats.steps_parallel);
-  field("cancel_checkpoints", stats.cancel_checkpoints);
-  field("queue_wait_ns", stats.queue_wait_ns);
-  field("exec_ns", stats.exec_ns);
-  *out += "\"plan_cache_hit\":";
-  *out += stats.plan_cache_hit ? "true" : "false";
-  *out += '}';
+/// A present trace-id section must be 1–64 bytes of [0-9A-Za-z_-]: the
+/// server writes the id into its trace JSON unescaped, and an empty
+/// section would decode as "absent" and re-encode 4 bytes shorter.
+bool IsValidTraceId(std::string_view id) {
+  if (id.empty() || id.size() > 64) {
+    return false;
+  }
+  for (const char c : id) {
+    const bool ok = (c >= '0' && c <= '9') || (c >= 'A' && c <= 'Z') ||
+                    (c >= 'a' && c <= 'z') || c == '_' || c == '-';
+    if (!ok) {
+      return false;
+    }
+  }
+  return true;
 }
 
-Status ParseStatsJson(const JsonValue& doc, obs::QueryStats* stats) {
-  HIERARQ_ASSIGN_OR_RETURN(stats->rule1_rows_scanned,
-                           U64Field(doc, "rule1_rows_scanned"));
-  HIERARQ_ASSIGN_OR_RETURN(stats->rule1_rows_emitted,
-                           U64Field(doc, "rule1_rows_emitted"));
-  HIERARQ_ASSIGN_OR_RETURN(stats->rule2_rows_scanned,
-                           U64Field(doc, "rule2_rows_scanned"));
-  HIERARQ_ASSIGN_OR_RETURN(stats->rule2_rows_emitted,
-                           U64Field(doc, "rule2_rows_emitted"));
-  HIERARQ_ASSIGN_OR_RETURN(stats->steps_total, U64Field(doc, "steps"));
-  HIERARQ_ASSIGN_OR_RETURN(stats->steps_serial,
-                           U64Field(doc, "serial_steps"));
-  HIERARQ_ASSIGN_OR_RETURN(stats->steps_parallel,
-                           U64Field(doc, "parallel_steps"));
-  HIERARQ_ASSIGN_OR_RETURN(stats->cancel_checkpoints,
-                           U64Field(doc, "cancel_checkpoints"));
-  HIERARQ_ASSIGN_OR_RETURN(stats->queue_wait_ns,
-                           U64Field(doc, "queue_wait_ns"));
-  HIERARQ_ASSIGN_OR_RETURN(stats->exec_ns, U64Field(doc, "exec_ns"));
-  if (const JsonValue* hit = doc.Find("plan_cache_hit");
-      hit != nullptr && hit->kind == JsonValue::kBool) {
-    stats->plan_cache_hit = hit->boolean;
+/// The query codecs keep a `format` argument for their existing callers;
+/// only kNative is an encoding.
+Status RequireNative(WireFormat format, const char* what) {
+  if (format != WireFormat::kNative) {
+    return Status::InvalidArgument(std::string(what) +
+                                   ": only the native payload format is "
+                                   "supported");
   }
   return Status::OK();
 }
@@ -629,310 +268,156 @@ Result<FrameHeader> DecodeFrameHeader(const char in[kFrameHeaderSize]) {
 
 std::string EncodeQueryRequest(const QueryRequest& request,
                                WireFormat format) {
+  HIERARQ_CHECK(format == WireFormat::kNative);
   std::string out;
-  if (format == WireFormat::kNative) {
-    out += static_cast<char>(request.solver);
-    PutU64(&out, request.deadline_ms);
-    PutStr(&out, request.query);
-    // Trailing optional section, written only when present so a request
-    // without trace context is byte-identical to the old layout.
-    if (!request.trace_id.empty()) {
-      PutStr(&out, request.trace_id);
-    }
-    return out;
-  }
-  out += "{\"solver\":";
-  AppendJsonString(&out, SolverKindName(request.solver));
-  out += ",\"deadline_ms\":" + std::to_string(request.deadline_ms);
-  out += ",\"query\":";
-  AppendJsonString(&out, request.query);
+  out += static_cast<char>(request.solver);
+  PutU64(&out, request.deadline_ms);
+  PutStr(&out, request.query);
+  // Trailing optional section, written only when present so a request
+  // without trace context is byte-identical to the old layout.
   if (!request.trace_id.empty()) {
-    out += ",\"trace_id\":";
-    AppendJsonString(&out, request.trace_id);
+    PutStr(&out, request.trace_id);
   }
-  out += "}";
   return out;
 }
 
 Result<QueryRequest> DecodeQueryRequest(std::string_view payload,
                                         WireFormat format) {
+  HIERARQ_RETURN_NOT_OK(RequireNative(format, "query request"));
   QueryRequest request;
-  if (format == WireFormat::kNative) {
-    Cursor cursor(payload);
-    const uint8_t solver = cursor.U8();
-    request.deadline_ms = cursor.U64();
-    request.query = cursor.Str();
-    // Old-style frames end here; new-style ones carry trace context.
-    if (cursor.ok() && !cursor.AtEnd()) {
-      request.trace_id = cursor.Str();
-    }
-    HIERARQ_RETURN_NOT_OK(cursor.Finish("query request"));
-    if (solver > static_cast<uint8_t>(SolverKind::kShapley)) {
-      return Status::InvalidArgument("query request: unknown solver tag " +
-                                     std::to_string(solver));
-    }
-    request.solver = static_cast<SolverKind>(solver);
-    return request;
+  Cursor cursor(payload);
+  const uint8_t solver = cursor.U8();
+  request.deadline_ms = cursor.U64();
+  request.query = cursor.Str();
+  // Old-style frames end here; new-style ones carry trace context.
+  const bool has_trace_id = cursor.ok() && !cursor.AtEnd();
+  if (has_trace_id) {
+    request.trace_id = cursor.Str();
   }
-  HIERARQ_ASSIGN_OR_RETURN(JsonValue doc, JsonParser(payload).Parse());
-  HIERARQ_ASSIGN_OR_RETURN(
-      const JsonValue* solver, Field(doc, "solver", JsonValue::kString));
-  HIERARQ_ASSIGN_OR_RETURN(request.solver,
-                           ParseSolverKind(solver->string));
-  HIERARQ_ASSIGN_OR_RETURN(
-      const JsonValue* query, Field(doc, "query", JsonValue::kString));
-  request.query = query->string;
-  if (const JsonValue* deadline = doc.Find("deadline_ms");
-      deadline != nullptr && deadline->kind == JsonValue::kNumber) {
-    request.deadline_ms = static_cast<uint64_t>(deadline->number);
+  HIERARQ_RETURN_NOT_OK(cursor.Finish("query request"));
+  if (solver > static_cast<uint8_t>(SolverKind::kShapley)) {
+    return Status::InvalidArgument("query request: unknown solver tag " +
+                                   std::to_string(solver));
   }
-  if (const JsonValue* trace_id = doc.Find("trace_id");
-      trace_id != nullptr && trace_id->kind == JsonValue::kString) {
-    request.trace_id = trace_id->string;
+  if (has_trace_id && !IsValidTraceId(request.trace_id)) {
+    return Status::InvalidArgument(
+        "query request: trace id must be 1-64 bytes of [0-9A-Za-z_-]");
   }
+  request.solver = static_cast<SolverKind>(solver);
   return request;
 }
 
 std::string EncodeQueryResult(const QueryResult& result, WireFormat format,
                               bool with_stats, bool with_trace) {
+  HIERARQ_CHECK(format == WireFormat::kNative);
   std::string out;
-  if (format == WireFormat::kNative) {
-    out += static_cast<char>(result.solver);
-    switch (result.solver) {
-      case SolverKind::kCount:
-      case SolverKind::kResilience:
-        PutU64(&out, result.count);
-        break;
-      case SolverKind::kPqe:
-      case SolverKind::kExpect:
-        PutF64(&out, result.number);
-        break;
-      case SolverKind::kShapley:
-        PutU32(&out, static_cast<uint32_t>(result.shapley.size()));
-        for (const ShapleyEntry& entry : result.shapley) {
-          PutStr(&out, entry.fact);
-          PutStr(&out, entry.fraction);
-          PutF64(&out, entry.value);
-        }
-        break;
-    }
-    if (with_stats) {
-      PutStatsNative(&out, result.stats);
-    }
-    if (with_trace) {
-      PutStr(&out, result.trace_json);
-    }
-    return out;
-  }
-  out += "{\"solver\":";
-  AppendJsonString(&out, SolverKindName(result.solver));
+  out += static_cast<char>(result.solver);
   switch (result.solver) {
     case SolverKind::kCount:
     case SolverKind::kResilience:
-      // String, not number: see U64Field — counts use the full u64 range
-      // (resilience infinity is ~0), past what a JSON double carries.
-      out += ",\"value\":\"" + std::to_string(result.count) + "\"";
+      PutU64(&out, result.count);
       break;
     case SolverKind::kPqe:
     case SolverKind::kExpect:
-      out += ",\"value\":";
-      AppendJsonDouble(&out, result.number);
+      PutF64(&out, result.number);
       break;
     case SolverKind::kShapley:
-      out += ",\"shapley\":[";
-      for (size_t i = 0; i < result.shapley.size(); ++i) {
-        if (i > 0) out += ",";
-        out += "{\"fact\":";
-        AppendJsonString(&out, result.shapley[i].fact);
-        out += ",\"fraction\":";
-        AppendJsonString(&out, result.shapley[i].fraction);
-        out += ",\"value\":";
-        AppendJsonDouble(&out, result.shapley[i].value);
-        out += "}";
+      PutU32(&out, static_cast<uint32_t>(result.shapley.size()));
+      for (const ShapleyEntry& entry : result.shapley) {
+        PutStr(&out, entry.fact);
+        PutStr(&out, entry.fraction);
+        PutF64(&out, entry.value);
       }
-      out += "]";
       break;
   }
   if (with_stats) {
-    out += ",\"stats\":";
-    AppendStatsJson(&out, result.stats);
+    PutStatsNative(&out, result.stats);
   }
   if (with_trace) {
-    out += ",\"trace\":";
-    AppendJsonString(&out, result.trace_json);
+    PutStr(&out, result.trace_json);
   }
-  out += "}";
   return out;
 }
 
 Result<QueryResult> DecodeQueryResult(std::string_view payload,
                                       WireFormat format, bool with_stats,
                                       bool with_trace) {
+  HIERARQ_RETURN_NOT_OK(RequireNative(format, "result"));
   QueryResult result;
-  if (format == WireFormat::kNative) {
-    Cursor cursor(payload);
-    const uint8_t solver = cursor.U8();
-    if (solver > static_cast<uint8_t>(SolverKind::kShapley)) {
-      return Status::InvalidArgument("result: unknown solver tag " +
-                                     std::to_string(solver));
-    }
-    result.solver = static_cast<SolverKind>(solver);
-    switch (result.solver) {
-      case SolverKind::kCount:
-      case SolverKind::kResilience:
-        result.count = cursor.U64();
-        break;
-      case SolverKind::kPqe:
-      case SolverKind::kExpect:
-        result.number = cursor.F64();
-        break;
-      case SolverKind::kShapley: {
-        const uint32_t n = cursor.U32();
-        // The count is attacker-controlled until Finish() validates the
-        // stream; reserve nothing and let truncation trip the cursor.
-        for (uint32_t i = 0; i < n && cursor.ok(); ++i) {
-          ShapleyEntry entry;
-          entry.fact = cursor.Str();
-          entry.fraction = cursor.Str();
-          entry.value = cursor.F64();
-          result.shapley.push_back(std::move(entry));
-        }
-        break;
-      }
-    }
-    if (with_stats) {
-      ReadStatsNative(&cursor, &result.stats);
-    }
-    if (with_trace) {
-      result.trace_json = cursor.Str();
-    }
-    HIERARQ_RETURN_NOT_OK(cursor.Finish("result"));
-    return result;
+  Cursor cursor(payload);
+  const uint8_t solver = cursor.U8();
+  if (solver > static_cast<uint8_t>(SolverKind::kShapley)) {
+    return Status::InvalidArgument("result: unknown solver tag " +
+                                   std::to_string(solver));
   }
-  HIERARQ_ASSIGN_OR_RETURN(JsonValue doc, JsonParser(payload).Parse());
-  HIERARQ_ASSIGN_OR_RETURN(
-      const JsonValue* solver, Field(doc, "solver", JsonValue::kString));
-  HIERARQ_ASSIGN_OR_RETURN(result.solver, ParseSolverKind(solver->string));
+  result.solver = static_cast<SolverKind>(solver);
   switch (result.solver) {
     case SolverKind::kCount:
-    case SolverKind::kResilience: {
-      HIERARQ_ASSIGN_OR_RETURN(result.count, U64Field(doc, "value"));
+    case SolverKind::kResilience:
+      result.count = cursor.U64();
       break;
-    }
     case SolverKind::kPqe:
-    case SolverKind::kExpect: {
-      HIERARQ_ASSIGN_OR_RETURN(
-          const JsonValue* value, Field(doc, "value", JsonValue::kNumber));
-      result.number = value->number;
+    case SolverKind::kExpect:
+      result.number = cursor.F64();
       break;
-    }
     case SolverKind::kShapley: {
-      HIERARQ_ASSIGN_OR_RETURN(
-          const JsonValue* list, Field(doc, "shapley", JsonValue::kArray));
-      for (const JsonValue& item : list->array) {
+      const uint32_t n = cursor.U32();
+      // The count is attacker-controlled until Finish() validates the
+      // stream; reserve nothing and let truncation trip the cursor.
+      for (uint32_t i = 0; i < n && cursor.ok(); ++i) {
         ShapleyEntry entry;
-        HIERARQ_ASSIGN_OR_RETURN(
-            const JsonValue* fact, Field(item, "fact", JsonValue::kString));
-        HIERARQ_ASSIGN_OR_RETURN(
-            const JsonValue* fraction,
-            Field(item, "fraction", JsonValue::kString));
-        HIERARQ_ASSIGN_OR_RETURN(
-            const JsonValue* value,
-            Field(item, "value", JsonValue::kNumber));
-        entry.fact = fact->string;
-        entry.fraction = fraction->string;
-        entry.value = value->number;
+        entry.fact = cursor.Str();
+        entry.fraction = cursor.Str();
+        entry.value = cursor.F64();
         result.shapley.push_back(std::move(entry));
       }
       break;
     }
   }
   if (with_stats) {
-    HIERARQ_ASSIGN_OR_RETURN(
-        const JsonValue* stats, Field(doc, "stats", JsonValue::kObject));
-    HIERARQ_RETURN_NOT_OK(ParseStatsJson(*stats, &result.stats));
+    HIERARQ_RETURN_NOT_OK(ReadStatsNative(&cursor, &result.stats));
   }
   if (with_trace) {
-    HIERARQ_ASSIGN_OR_RETURN(
-        const JsonValue* trace, Field(doc, "trace", JsonValue::kString));
-    result.trace_json = trace->string;
+    result.trace_json = cursor.Str();
   }
+  HIERARQ_RETURN_NOT_OK(cursor.Finish("result"));
   return result;
 }
 
-std::string EncodeError(const Status& status, WireFormat format) {
+std::string EncodeError(const Status& status) {
   std::string out;
-  if (format == WireFormat::kNative) {
-    PutU32(&out, static_cast<uint32_t>(status.code()));
-    PutStr(&out, status.message());
-    return out;
-  }
-  out += "{\"code\":" + std::to_string(static_cast<int>(status.code()));
-  out += ",\"code_name\":";
-  AppendJsonString(&out, StatusCodeName(status.code()));
-  out += ",\"message\":";
-  AppendJsonString(&out, status.message());
-  out += "}";
+  PutU32(&out, static_cast<uint32_t>(status.code()));
+  PutStr(&out, status.message());
   return out;
 }
 
-Result<ErrorPayload> DecodeError(std::string_view payload,
-                                 WireFormat format) {
+Result<ErrorPayload> DecodeError(std::string_view payload) {
   ErrorPayload error;
-  if (format == WireFormat::kNative) {
-    Cursor cursor(payload);
-    const uint32_t code = cursor.U32();
-    error.message = cursor.Str();
-    HIERARQ_RETURN_NOT_OK(cursor.Finish("error frame"));
-    if (code > static_cast<uint32_t>(StatusCode::kResourceExhausted)) {
-      return Status::InvalidArgument("error frame: unknown status code " +
-                                     std::to_string(code));
-    }
-    error.code = static_cast<StatusCode>(code);
-    return error;
-  }
-  HIERARQ_ASSIGN_OR_RETURN(JsonValue doc, JsonParser(payload).Parse());
-  HIERARQ_ASSIGN_OR_RETURN(const JsonValue* code,
-                           Field(doc, "code", JsonValue::kNumber));
-  HIERARQ_ASSIGN_OR_RETURN(const JsonValue* message,
-                           Field(doc, "message", JsonValue::kString));
-  const int code_int = static_cast<int>(code->number);
-  if (code_int < 0 ||
-      code_int > static_cast<int>(StatusCode::kResourceExhausted)) {
+  Cursor cursor(payload);
+  const uint32_t code = cursor.U32();
+  error.message = cursor.Str();
+  HIERARQ_RETURN_NOT_OK(cursor.Finish("error frame"));
+  if (code > static_cast<uint32_t>(StatusCode::kResourceExhausted)) {
     return Status::InvalidArgument("error frame: unknown status code " +
-                                   std::to_string(code_int));
+                                   std::to_string(code));
   }
-  error.code = static_cast<StatusCode>(code_int);
-  error.message = message->string;
+  error.code = static_cast<StatusCode>(code);
   return error;
 }
 
-std::string EncodeDeltaAck(const DeltaAck& ack, WireFormat format) {
+std::string EncodeDeltaAck(const DeltaAck& ack) {
   std::string out;
-  if (format == WireFormat::kNative) {
-    PutU64(&out, ack.generation);
-    PutU64(&out, ack.num_facts);
-    return out;
-  }
-  out += "{\"generation\":\"" + std::to_string(ack.generation) + "\"";
-  out += ",\"num_facts\":\"" + std::to_string(ack.num_facts) + "\"";
-  out += "}";
+  PutU64(&out, ack.generation);
+  PutU64(&out, ack.num_facts);
   return out;
 }
 
-Result<DeltaAck> DecodeDeltaAck(std::string_view payload,
-                                WireFormat format) {
+Result<DeltaAck> DecodeDeltaAck(std::string_view payload) {
   DeltaAck ack;
-  if (format == WireFormat::kNative) {
-    Cursor cursor(payload);
-    ack.generation = cursor.U64();
-    ack.num_facts = cursor.U64();
-    HIERARQ_RETURN_NOT_OK(cursor.Finish("delta ack"));
-    return ack;
-  }
-  HIERARQ_ASSIGN_OR_RETURN(JsonValue doc, JsonParser(payload).Parse());
-  HIERARQ_ASSIGN_OR_RETURN(ack.generation, U64Field(doc, "generation"));
-  HIERARQ_ASSIGN_OR_RETURN(ack.num_facts, U64Field(doc, "num_facts"));
+  Cursor cursor(payload);
+  ack.generation = cursor.U64();
+  ack.num_facts = cursor.U64();
+  HIERARQ_RETURN_NOT_OK(cursor.Finish("delta ack"));
   return ack;
 }
 
@@ -952,6 +437,8 @@ std::string EncodeStatusPayload(const StatusPayload& status,
     }
     return out;
   }
+  // u64s as decimal strings: a JSON number reads as a double and loses
+  // integers past 2^53.
   out += "{\"uptime_ns\":\"" + std::to_string(status.uptime_ns) + "\"";
   out += ",\"queue_depth\":\"" + std::to_string(status.queue_depth) + "\"";
   out += ",\"oldest_job_age_ns\":\"" +
@@ -963,54 +450,29 @@ std::string EncodeStatusPayload(const StatusPayload& status,
   out += ",\"errors_total\":\"" + std::to_string(status.errors_total) + "\"";
   out += ",\"recent_errors\":[";
   for (size_t i = 0; i < status.recent_errors.size(); ++i) {
-    if (i > 0) out += ",";
-    AppendJsonString(&out, status.recent_errors[i]);
+    out += i > 0 ? ",\"" : "\"";
+    obs::AppendJsonEscaped(&out, status.recent_errors[i]);
+    out += '"';
   }
   out += "]}";
   return out;
 }
 
-Result<StatusPayload> DecodeStatusPayload(std::string_view payload,
-                                          WireFormat format) {
+Result<StatusPayload> DecodeStatusPayload(std::string_view payload) {
   StatusPayload status;
-  if (format == WireFormat::kNative) {
-    Cursor cursor(payload);
-    status.uptime_ns = cursor.U64();
-    status.queue_depth = cursor.U64();
-    status.oldest_job_age_ns = cursor.U64();
-    status.active_connections = cursor.U64();
-    status.requests_total = cursor.U64();
-    status.errors_total = cursor.U64();
-    const uint32_t n = cursor.U32();
-    // Attacker-controlled count: no reserve, truncation trips the cursor.
-    for (uint32_t i = 0; i < n && cursor.ok(); ++i) {
-      status.recent_errors.push_back(cursor.Str());
-    }
-    HIERARQ_RETURN_NOT_OK(cursor.Finish("status"));
-    return status;
+  Cursor cursor(payload);
+  status.uptime_ns = cursor.U64();
+  status.queue_depth = cursor.U64();
+  status.oldest_job_age_ns = cursor.U64();
+  status.active_connections = cursor.U64();
+  status.requests_total = cursor.U64();
+  status.errors_total = cursor.U64();
+  const uint32_t n = cursor.U32();
+  // Attacker-controlled count: no reserve, truncation trips the cursor.
+  for (uint32_t i = 0; i < n && cursor.ok(); ++i) {
+    status.recent_errors.push_back(cursor.Str());
   }
-  HIERARQ_ASSIGN_OR_RETURN(JsonValue doc, JsonParser(payload).Parse());
-  HIERARQ_ASSIGN_OR_RETURN(status.uptime_ns, U64Field(doc, "uptime_ns"));
-  HIERARQ_ASSIGN_OR_RETURN(status.queue_depth,
-                           U64Field(doc, "queue_depth"));
-  HIERARQ_ASSIGN_OR_RETURN(status.oldest_job_age_ns,
-                           U64Field(doc, "oldest_job_age_ns"));
-  HIERARQ_ASSIGN_OR_RETURN(status.active_connections,
-                           U64Field(doc, "active_connections"));
-  HIERARQ_ASSIGN_OR_RETURN(status.requests_total,
-                           U64Field(doc, "requests_total"));
-  HIERARQ_ASSIGN_OR_RETURN(status.errors_total,
-                           U64Field(doc, "errors_total"));
-  HIERARQ_ASSIGN_OR_RETURN(
-      const JsonValue* errors,
-      Field(doc, "recent_errors", JsonValue::kArray));
-  for (const JsonValue& item : errors->array) {
-    if (item.kind != JsonValue::kString) {
-      return Status::InvalidArgument(
-          "status: recent_errors entries must be strings");
-    }
-    status.recent_errors.push_back(item.string);
-  }
+  HIERARQ_RETURN_NOT_OK(cursor.Finish("status"));
   return status;
 }
 
@@ -1059,27 +521,16 @@ Status ReadAll(int fd, char* data, size_t n, bool eof_ok) {
 
 }  // namespace
 
-Status WriteFrame(int fd, const FrameHeader& header,
-                  std::string_view payload) {
-  // One buffered write per frame: header+payload coalesce into a single
-  // syscall for small frames, which is most of the protocol.
-  std::string buf;
-  buf.resize(kFrameHeaderSize);
-  FrameHeader h = header;
-  h.payload_len = static_cast<uint32_t>(payload.size());
-  EncodeFrameHeader(h, buf.data());
-  buf.append(payload);
-  return WriteAll(fd, buf.data(), buf.size());
-}
-
 Status WriteFrame(int fd, FrameType type, WireFormat format, uint16_t flags,
                   uint64_t request_id, std::string_view payload) {
-  FrameHeader header;
-  header.type = type;
-  header.format = format;
-  header.flags = flags;
-  header.request_id = request_id;
-  return WriteFrame(fd, header, payload);
+  // One buffered write per frame: header+payload coalesce into a single
+  // syscall for small frames, which is most of the protocol.
+  const FrameHeader header{static_cast<uint32_t>(payload.size()), type,
+                           format, flags, request_id};
+  std::string buf(kFrameHeaderSize, '\0');
+  EncodeFrameHeader(header, buf.data());
+  buf.append(payload);
+  return WriteAll(fd, buf.data(), buf.size());
 }
 
 Result<Frame> ReadFrame(int fd) {

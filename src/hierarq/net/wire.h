@@ -14,31 +14,33 @@
 ///
 /// The request id is chosen by the client and echoed verbatim on every
 /// response frame, so a client may pipeline requests and match answers
-/// out of order. `format` selects between two payload encodings of the
-/// SAME logical messages — `kNative` (the hand-rolled binary layout
-/// below) and `kJson` (a flat JSON object) — so `bench/bench_server.cpp`
-/// can A/B the framing cost in the thesis-microbench style; servers
-/// answer in the format they were asked in. `flags` bit 0 requests
-/// (on a query) / announces (on a result) per-request trace capture;
-/// bit 1 does the same for per-request resource accounting (QueryStats).
+/// out of order. Payloads are the native binary layouts below. `format`
+/// matters on two request types only: on kMetricsRequest it picks a
+/// text or JSON rendering, and on kStatusRequest a native or JSON
+/// payload (what `tools/hierarq_top.py` reads). A server answers a kJson
+/// frame of any other type with one native kInvalidArgument error frame
+/// and keeps the connection open. `flags` bit 0 requests (on a query) /
+/// announces (on a result) per-request trace capture; bit 1 does the
+/// same for per-request resource accounting (QueryStats).
 ///
 /// Native payload layouts (all integers little-endian, doubles as their
 /// IEEE-754 bit pattern in a u64):
 ///
 ///   kQueryRequest    u8 solver | u64 deadline_ms | u32 n | n query bytes
 ///                      [| str trace_id]  (optional trailing section: the
-///                      client-minted trace context; absent on old-style
-///                      frames, which decode identically)
+///                      client-minted trace context, 1–64 bytes of
+///                      [0-9A-Za-z_-]; absent on old-style frames, which
+///                      decode identically)
 ///   kResultFrame     u8 solver | value... [| stats][| u32 n | n trace bytes]
 ///                      count/resilience: u64
 ///                      pqe/expect:       f64
 ///                      shapley:          u32 k | k × (str fact,
 ///                                        str fraction, f64 value)
 ///                      (str = u32 length + bytes; the trailing stats
-///                       section — 10 × u64 | u8 plan_cache_hit, field
-///                       order of obs::QueryStats — is present iff flags
-///                       bit 1 is set; the trace section iff bit 0 is
-///                       set; stats precede trace)
+///                       section — 10 × u64 | u8 plan_cache_hit (0 or 1),
+///                       field order of obs::QueryStats — is present iff
+///                       flags bit 1 is set; the trace section iff bit 0
+///                       is set; stats precede trace)
 ///   kErrorFrame      u32 status code | str message
 ///   kDeltaBatch      the textual update grammar, verbatim
 ///                    (incremental/delta_text.h — one line, ops ';'-split,
@@ -48,11 +50,13 @@
 ///   kMetricsResponse rendered registry dump, verbatim
 ///   kPing/kPong      empty
 ///   kShutdown        empty (server stops accepting and exits its loop)
-///   kStatusRequest   empty
+///   kStatusRequest   empty (format picks a native vs JSON response)
 ///   kStatusResponse  u64 uptime_ns | u64 queue_depth |
 ///                    u64 oldest_job_age_ns | u64 active_connections |
 ///                    u64 requests_total | u64 errors_total |
-///                    u32 n | n × str recent error (oldest first)
+///                    u32 n | n × str recent error (oldest first);
+///                    as JSON, a flat object of the same fields with
+///                    every u64 a decimal string (doubles round past 2^53)
 ///
 /// Robustness contract: a reader REJECTS rather than trusts — oversized
 /// lengths, unknown frame types, and truncated payloads all produce a
@@ -87,8 +91,8 @@ enum class FrameType : uint8_t {
 };
 
 enum class WireFormat : uint8_t {
-  kNative = 0,  ///< Hand-rolled binary layout (the fast path).
-  kJson = 1,    ///< Flat JSON text (the interop / A-B baseline).
+  kNative = 0,  ///< The binary layouts of this file.
+  kJson = 1,    ///< JSON rendering, for metrics and status only.
 };
 
 enum class SolverKind : uint8_t {
@@ -152,7 +156,8 @@ struct QueryRequest {
   /// one request stitch into one trace. Empty = none. Rides the payload
   /// as an optional trailing section: old-style frames without it decode
   /// to an empty id, old decoders given a frame WITH it reject cleanly
-  /// (trailing bytes) rather than misparse.
+  /// (trailing bytes) rather than misparse. A present id must be 1–64
+  /// bytes of [0-9A-Za-z_-]: it lands unescaped in the trace JSON.
   std::string trace_id;
 };
 
@@ -199,9 +204,14 @@ struct StatusPayload {
   std::vector<std::string> recent_errors;
 };
 
-// -- Payload codecs (both formats) ------------------------------------
+// -- Payload codecs ----------------------------------------------------
 // Encode never fails; Decode returns a Status on truncated, trailing or
-// malformed bytes — the reject-don't-trust half of the contract.
+// malformed bytes — the reject-don't-trust half of the contract. A value
+// that decodes re-encodes to exactly the bytes it was decoded from.
+//
+// The query request and result codecs still take a `format`, which must
+// be kNative: the encoders CHECK it and the decoders reject kJson with
+// kInvalidArgument.
 
 std::string EncodeQueryRequest(const QueryRequest& request,
                                WireFormat format);
@@ -218,25 +228,22 @@ Result<QueryResult> DecodeQueryResult(std::string_view payload,
                                       WireFormat format, bool with_stats,
                                       bool with_trace);
 
-std::string EncodeError(const Status& status, WireFormat format);
-Result<ErrorPayload> DecodeError(std::string_view payload,
-                                 WireFormat format);
+std::string EncodeError(const Status& status);
+Result<ErrorPayload> DecodeError(std::string_view payload);
 
-std::string EncodeDeltaAck(const DeltaAck& ack, WireFormat format);
-Result<DeltaAck> DecodeDeltaAck(std::string_view payload,
-                                WireFormat format);
+std::string EncodeDeltaAck(const DeltaAck& ack);
+Result<DeltaAck> DecodeDeltaAck(std::string_view payload);
 
+/// kJson renders the JSON object `tools/hierarq_top.py` reads; there is
+/// no JSON decoder.
 std::string EncodeStatusPayload(const StatusPayload& status,
                                 WireFormat format);
-Result<StatusPayload> DecodeStatusPayload(std::string_view payload,
-                                          WireFormat format);
+Result<StatusPayload> DecodeStatusPayload(std::string_view payload);
 
 // -- Framed socket I/O -------------------------------------------------
 
-/// Writes header + payload to `fd`, looping over partial writes.
-Status WriteFrame(int fd, const FrameHeader& header,
-                  std::string_view payload);
-/// Convenience: fills in payload_len from `payload`.
+/// Writes one frame (payload_len taken from `payload`) to `fd`, looping
+/// over partial writes.
 Status WriteFrame(int fd, FrameType type, WireFormat format, uint16_t flags,
                   uint64_t request_id, std::string_view payload);
 

@@ -17,9 +17,29 @@ uint64_t WallNowNs() {
           .count());
 }
 
-/// JSON string escaping (the log's values are arbitrary — query text,
-/// peer-supplied error messages).
-void AppendEscaped(std::string* out, std::string_view s) {
+/// key=value values quote only when they must (spaces, quotes, '=',
+/// control bytes) so the common line stays clean.
+void AppendKvValue(std::string* out, std::string_view value) {
+  bool needs_quotes = value.empty();
+  for (const char c : value) {
+    if (c == ' ' || c == '"' || c == '=' ||
+        static_cast<unsigned char>(c) < 0x20) {
+      needs_quotes = true;
+      break;
+    }
+  }
+  if (!needs_quotes) {
+    out->append(value);
+    return;
+  }
+  *out += '"';
+  AppendJsonEscaped(out, value);
+  *out += '"';
+}
+
+}  // namespace
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -48,28 +68,6 @@ void AppendEscaped(std::string* out, std::string_view s) {
     }
   }
 }
-
-/// key=value values quote only when they must (spaces, quotes, '=',
-/// control bytes) so the common line stays clean.
-void AppendKvValue(std::string* out, std::string_view value) {
-  bool needs_quotes = value.empty();
-  for (const char c : value) {
-    if (c == ' ' || c == '"' || c == '=' ||
-        static_cast<unsigned char>(c) < 0x20) {
-      needs_quotes = true;
-      break;
-    }
-  }
-  if (!needs_quotes) {
-    out->append(value);
-    return;
-  }
-  *out += '"';
-  AppendEscaped(out, value);
-  *out += '"';
-}
-
-}  // namespace
 
 const char* LogLevelName(LogLevel level) {
   switch (level) {
@@ -159,13 +157,13 @@ void Logger::Log(LogLevel level, std::string_view event,
     line += "\",\"level\":\"";
     line += LogLevelName(level);
     line += "\",\"event\":\"";
-    AppendEscaped(&line, event);
+    AppendJsonEscaped(&line, event);
     line += '"';
     for (const LogField& field : fields) {
       line += ",\"";
-      AppendEscaped(&line, field.key);
+      AppendJsonEscaped(&line, field.key);
       line += "\":\"";
-      AppendEscaped(&line, field.value);
+      AppendJsonEscaped(&line, field.value);
       line += '"';
     }
     line += "}\n";

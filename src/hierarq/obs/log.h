@@ -53,6 +53,11 @@ enum class LogLevel : uint8_t {
 /// "debug" / "info" / "warn" / "error".
 const char* LogLevelName(LogLevel level);
 
+/// Appends `s` to `out` escaped for the inside of a JSON string (quotes,
+/// backslashes, control bytes); the caller writes the quotes. The one
+/// JSON string escaper: log lines and net/wire's JSON status payload.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
 /// One structured field. The value is owned: call sites routinely pass
 /// `std::to_string(...)` temporaries.
 struct LogField {

@@ -158,7 +158,9 @@ void Tracer::WriteChromeTrace(std::ostream& out, int pid,
   // overwritten window may have held the missing step events.
   out << "{\"displayTimeUnit\": \"ns\", \"dropped\": " << dropped();
   if (!trace_id.empty()) {
-    // Ids are hex tokens minted by HierarqClient — no escaping needed.
+    // No escaping needed: a wire-borne id is 1-64 bytes of
+    // [0-9A-Za-z_-] (net/wire.cpp rejects any other), and HierarqClient
+    // mints hex.
     out << ", \"trace_id\": \"" << trace_id << "\"";
   }
   out << ", \"traceEvents\": [";

@@ -142,7 +142,8 @@ class Tracer {
   /// `pid` labels every event's process track — cross-process stitching
   /// (client = 1, server = 2) renders as two process lanes in one
   /// timeline. A non-empty `trace_id` is stamped into the envelope as a
-  /// top-level "trace_id" field, correlating the file with log lines.
+  /// top-level "trace_id" field, correlating the file with log lines; it
+  /// is written unescaped, so it must be a [0-9A-Za-z_-] token.
   void WriteChromeTrace(std::ostream& out, int pid = 1,
                         const std::string& trace_id = "") const;
 

@@ -1,9 +1,11 @@
-// Tests for the net layer (src/hierarq/net/): wire codec round-trips in
-// both formats, reject-don't-trust decoding of truncated/oversized/
-// garbage bytes, the async submission layer's admission control and
-// deadline handling, the shared delta-text grammar's line atomicity
-// (the partial-apply regression), and a live loopback server answering
-// concurrent clients bit-identically to the single-threaded Evaluator.
+// Tests for the net layer (src/hierarq/net/): native wire codec
+// round-trips, reject-don't-trust decoding of truncated/oversized/
+// garbage bytes and a seeded mutation sweep over every native decoder,
+// the async submission layer's admission control and deadline handling,
+// the shared delta-text grammar's line atomicity (the partial-apply
+// regression), and a live loopback server answering concurrent clients
+// bit-identically to the single-threaded Evaluator and refusing JSON
+// data frames.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -46,59 +49,57 @@ ConjunctiveQuery MustParse(const std::string& text) {
 
 // ------------------------------------------------------------ wire codec --
 
-class WireFormatTest : public ::testing::TestWithParam<WireFormat> {};
+constexpr WireFormat kNative = WireFormat::kNative;
+constexpr const char* kSmallDb = "R(1,2)\nR(1,3)\nR(2,4)\nS(1,5)\nS(2,6)\n";
+constexpr const char* kSmallQuery = "Q() :- R(A,B), S(A,C)";
 
-INSTANTIATE_TEST_SUITE_P(BothFormats, WireFormatTest,
-                         ::testing::Values(WireFormat::kNative,
-                                           WireFormat::kJson));
-
-TEST_P(WireFormatTest, QueryRequestRoundTrips) {
+TEST(Wire, QueryRequestRoundTrips) {
   QueryRequest request;
   request.solver = SolverKind::kShapley;
   request.deadline_ms = 1234;
-  request.query = "Q() :- R(A,B), S(A,\"C\")";  // Quote survives JSON.
+  request.query = "Q() :- R(A,B), S(A,\"C\")";
   auto decoded =
-      DecodeQueryRequest(EncodeQueryRequest(request, GetParam()), GetParam());
+      DecodeQueryRequest(EncodeQueryRequest(request, kNative), kNative);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->solver, SolverKind::kShapley);
   EXPECT_EQ(decoded->deadline_ms, 1234u);
   EXPECT_EQ(decoded->query, request.query);
 }
 
-TEST_P(WireFormatTest, CountResultRoundTrips) {
+TEST(Wire, CountResultRoundTrips) {
   QueryResult result;
   result.solver = SolverKind::kCount;
   result.count = ~uint64_t{0} - 7;  // Exercises the full u64 range.
   auto decoded = DecodeQueryResult(
-      EncodeQueryResult(result, GetParam(), /*with_stats=*/false,
+      EncodeQueryResult(result, kNative, /*with_stats=*/false,
                         /*with_trace=*/false),
-      GetParam(), /*with_stats=*/false, /*with_trace=*/false);
+      kNative, /*with_stats=*/false, /*with_trace=*/false);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->solver, SolverKind::kCount);
   EXPECT_EQ(decoded->count, result.count);
 }
 
-TEST_P(WireFormatTest, DoubleResultRoundTripsBitExactly) {
+TEST(Wire, DoubleResultRoundTripsBitExactly) {
   QueryResult result;
   result.solver = SolverKind::kPqe;
-  result.number = 0.1 + 0.2;  // Not representable exactly: %.17g must hold.
+  result.number = 0.1 + 0.2;
   auto decoded = DecodeQueryResult(
-      EncodeQueryResult(result, GetParam(), false, false), GetParam(), false,
+      EncodeQueryResult(result, kNative, false, false), kNative, false,
       false);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->number, result.number);  // Bit-exact, not near.
 }
 
-TEST_P(WireFormatTest, ShapleyResultWithTraceRoundTrips) {
+TEST(Wire, ShapleyResultWithTraceRoundTrips) {
   QueryResult result;
   result.solver = SolverKind::kShapley;
   result.shapley = {{"R(1,2)", "1/3", 1.0 / 3.0},
                     {"S(7,\"x\")", "-2/5", -0.4}};
   result.trace_json = "{\"traceEvents\": []}";
   auto decoded = DecodeQueryResult(
-      EncodeQueryResult(result, GetParam(), /*with_stats=*/false,
+      EncodeQueryResult(result, kNative, /*with_stats=*/false,
                         /*with_trace=*/true),
-      GetParam(), /*with_stats=*/false, /*with_trace=*/true);
+      kNative, /*with_stats=*/false, /*with_trace=*/true);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_EQ(decoded->shapley.size(), 2u);
   EXPECT_EQ(decoded->shapley[0].fact, "R(1,2)");
@@ -108,7 +109,7 @@ TEST_P(WireFormatTest, ShapleyResultWithTraceRoundTrips) {
   EXPECT_EQ(decoded->trace_json, result.trace_json);
 }
 
-TEST_P(WireFormatTest, StatsSectionRoundTrips) {
+TEST(Wire, StatsSectionRoundTrips) {
   QueryResult result;
   result.solver = SolverKind::kCount;
   result.count = 7;
@@ -124,9 +125,9 @@ TEST_P(WireFormatTest, StatsSectionRoundTrips) {
   result.stats.exec_ns = 7654321;
   result.stats.plan_cache_hit = true;
   auto decoded = DecodeQueryResult(
-      EncodeQueryResult(result, GetParam(), /*with_stats=*/true,
+      EncodeQueryResult(result, kNative, /*with_stats=*/true,
                         /*with_trace=*/false),
-      GetParam(), /*with_stats=*/true, /*with_trace=*/false);
+      kNative, /*with_stats=*/true, /*with_trace=*/false);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->count, 7u);
   EXPECT_EQ(decoded->stats.rule1_rows_scanned,
@@ -143,23 +144,23 @@ TEST_P(WireFormatTest, StatsSectionRoundTrips) {
   EXPECT_TRUE(decoded->stats.plan_cache_hit);
 }
 
-TEST_P(WireFormatTest, StatsAndTraceSectionsCompose) {
+TEST(Wire, StatsAndTraceSectionsCompose) {
   QueryResult result;
   result.solver = SolverKind::kPqe;
   result.number = 0.25;
   result.stats.exec_ns = 42;
   result.trace_json = "{\"traceEvents\": []}";
   auto decoded = DecodeQueryResult(
-      EncodeQueryResult(result, GetParam(), /*with_stats=*/true,
+      EncodeQueryResult(result, kNative, /*with_stats=*/true,
                         /*with_trace=*/true),
-      GetParam(), /*with_stats=*/true, /*with_trace=*/true);
+      kNative, /*with_stats=*/true, /*with_trace=*/true);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->number, 0.25);
   EXPECT_EQ(decoded->stats.exec_ns, 42u);
   EXPECT_EQ(decoded->trace_json, result.trace_json);
 }
 
-TEST_P(WireFormatTest, StatsFlagOffDecodesOldStyleFrames) {
+TEST(Wire, StatsFlagOffDecodesOldStyleFrames) {
   // Backward compat both ways: a frame encoded WITHOUT the stats section
   // (an old server answering a new client, which then sees kFlagStats
   // clear and decodes accordingly) must round-trip; and a stats-bearing
@@ -170,39 +171,30 @@ TEST_P(WireFormatTest, StatsFlagOffDecodesOldStyleFrames) {
   result.count = 99;
   result.stats.exec_ns = 12345;  // Present in the struct, not on the wire.
   const std::string old_style =
-      EncodeQueryResult(result, GetParam(), /*with_stats=*/false,
+      EncodeQueryResult(result, kNative, /*with_stats=*/false,
                         /*with_trace=*/false);
-  auto decoded = DecodeQueryResult(old_style, GetParam(), false, false);
+  auto decoded = DecodeQueryResult(old_style, kNative, false, false);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->count, 99u);
   EXPECT_EQ(decoded->stats.exec_ns, 0u) << "stats absent, not garbage";
   EXPECT_FALSE(decoded->stats.plan_cache_hit);
 
+  // The layout is positional: unexpected trailing stats bytes are a
+  // protocol violation, rejected rather than misread as a trace.
   const std::string with_stats =
-      EncodeQueryResult(result, GetParam(), /*with_stats=*/true,
+      EncodeQueryResult(result, kNative, /*with_stats=*/true,
                         /*with_trace=*/false);
-  auto mismatched = DecodeQueryResult(with_stats, GetParam(), false, false);
-  if (GetParam() == WireFormat::kNative) {
-    // Native is positional: unexpected trailing stats bytes are a
-    // protocol violation, rejected rather than misread as a trace.
-    EXPECT_FALSE(mismatched.ok());
-  } else {
-    // JSON is keyed: an unread "stats" field is cleanly ignored, so a
-    // stats-flag-unaware decoder still gets the value out.
-    ASSERT_TRUE(mismatched.ok()) << mismatched.status();
-    EXPECT_EQ(mismatched->count, 99u);
-    EXPECT_EQ(mismatched->stats.exec_ns, 0u);
-  }
+  EXPECT_FALSE(DecodeQueryResult(with_stats, kNative, false, false).ok());
 }
 
-TEST_P(WireFormatTest, TraceIdRidesTheRequestAndOldFramesStillDecode) {
+TEST(Wire, TraceIdRidesTheRequestAndOldFramesStillDecode) {
   QueryRequest request;
   request.solver = SolverKind::kCount;
   request.deadline_ms = 5;
   request.query = "Q() :- R(A)";
   request.trace_id = "deadbeef01234567";
   auto decoded =
-      DecodeQueryRequest(EncodeQueryRequest(request, GetParam()), GetParam());
+      DecodeQueryRequest(EncodeQueryRequest(request, kNative), kNative);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->trace_id, "deadbeef01234567");
 
@@ -212,12 +204,34 @@ TEST_P(WireFormatTest, TraceIdRidesTheRequestAndOldFramesStillDecode) {
   // old clients' requests to an empty id.
   request.trace_id.clear();
   auto old_style =
-      DecodeQueryRequest(EncodeQueryRequest(request, GetParam()), GetParam());
+      DecodeQueryRequest(EncodeQueryRequest(request, kNative), kNative);
   ASSERT_TRUE(old_style.ok()) << old_style.status();
   EXPECT_TRUE(old_style->trace_id.empty());
 }
 
-TEST_P(WireFormatTest, StatusPayloadRoundTripsAndRejectsTruncation) {
+TEST(Wire, TraceIdSectionMustBeOneTo64SafeBytes) {
+  const std::string untraced = EncodeQueryRequest({}, kNative);
+  const auto with_section = [&untraced](const std::string& id) {
+    const uint32_t n = static_cast<uint32_t>(id.size());
+    const char length[4] = {static_cast<char>(n), 0, 0, 0};
+    return untraced + std::string(length, 4) + id;
+  };
+  // Empty: it used to decode as "absent" and re-encode 4 bytes shorter.
+  // The others would land unescaped in the server's trace JSON.
+  for (const std::string& bad : {std::string(), std::string("a\"b"),
+                                 std::string("a b"), std::string(65, 'a')}) {
+    auto decoded = DecodeQueryRequest(with_section(bad), kNative);
+    ASSERT_FALSE(decoded.ok()) << "accepted trace id '" << bad << "'";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+  const std::string longest =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-";
+  auto good = DecodeQueryRequest(with_section(longest), kNative);
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(EncodeQueryRequest(*good, kNative), with_section(longest));
+}
+
+TEST(Wire, StatusPayloadRoundTripsAndRejectsTruncation) {
   StatusPayload status;
   status.uptime_ns = ~uint64_t{0} - 17;
   status.queue_depth = 3;
@@ -226,8 +240,8 @@ TEST_P(WireFormatTest, StatusPayloadRoundTripsAndRejectsTruncation) {
   status.requests_total = 1'000'000;
   status.errors_total = 2;
   status.recent_errors = {"bad \"query\"", "deadline exceeded"};
-  const std::string encoded = EncodeStatusPayload(status, GetParam());
-  auto decoded = DecodeStatusPayload(encoded, GetParam());
+  const std::string encoded = EncodeStatusPayload(status, kNative);
+  auto decoded = DecodeStatusPayload(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->uptime_ns, status.uptime_ns);
   EXPECT_EQ(decoded->queue_depth, 3u);
@@ -240,47 +254,62 @@ TEST_P(WireFormatTest, StatusPayloadRoundTripsAndRejectsTruncation) {
   EXPECT_EQ(decoded->recent_errors[1], "deadline exceeded");
 
   for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    EXPECT_FALSE(DecodeStatusPayload(encoded.substr(0, cut), GetParam()).ok())
+    EXPECT_FALSE(DecodeStatusPayload(encoded.substr(0, cut)).ok())
         << "prefix of length " << cut << " accepted";
   }
 }
 
-TEST_P(WireFormatTest, ErrorAndDeltaAckRoundTrip) {
-  auto error = DecodeError(
-      EncodeError(Status::DeadlineExceeded("out of \"time\""), GetParam()),
-      GetParam());
+TEST(Wire, JsonStatusRenderingIsPinned) {
+  // What tools/hierarq_top.py parses. u64s ride as decimal strings:
+  // 2^53 + 1 would round as a JSON number.
+  const StatusPayload status{(uint64_t{1} << 53) + 1, 3, 0, 1, 42, 2,
+                             {"parse-error: bad \"query\"", "line\nbreak"}};
+  EXPECT_EQ(EncodeStatusPayload(status, WireFormat::kJson),
+            "{\"uptime_ns\":\"9007199254740993\",\"queue_depth\":\"3\","
+            "\"oldest_job_age_ns\":\"0\",\"active_connections\":\"1\","
+            "\"requests_total\":\"42\",\"errors_total\":\"2\","
+            "\"recent_errors\":[\"parse-error: bad \\\"query\\\"\","
+            "\"line\\nbreak\"]}");
+}
+
+TEST(Wire, ErrorAndDeltaAckRoundTrip) {
+  auto error =
+      DecodeError(EncodeError(Status::DeadlineExceeded("out of \"time\"")));
   ASSERT_TRUE(error.ok()) << error.status();
   EXPECT_EQ(error->code, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(error->message, "out of \"time\"");
 
-  auto ack = DecodeDeltaAck(
-      EncodeDeltaAck(DeltaAck{42, 100000}, GetParam()), GetParam());
+  auto ack = DecodeDeltaAck(EncodeDeltaAck(DeltaAck{42, 100000}));
   ASSERT_TRUE(ack.ok()) << ack.status();
   EXPECT_EQ(ack->generation, 42u);
   EXPECT_EQ(ack->num_facts, 100000u);
 }
 
-TEST_P(WireFormatTest, TruncatedAndTrailingPayloadsAreRejected) {
+TEST(Wire, TruncatedAndTrailingPayloadsAreRejected) {
   QueryRequest request;
   request.query = "Q() :- R(A)";
-  const std::string good = EncodeQueryRequest(request, GetParam());
+  const std::string good = EncodeQueryRequest(request, kNative);
   // Every proper prefix must fail cleanly, never read out of bounds.
   for (size_t cut = 0; cut < good.size(); ++cut) {
-    auto decoded = DecodeQueryRequest(good.substr(0, cut), GetParam());
+    auto decoded = DecodeQueryRequest(good.substr(0, cut), kNative);
     EXPECT_FALSE(decoded.ok()) << "prefix of length " << cut << " accepted";
   }
-  auto trailing = DecodeQueryRequest(good + "x", GetParam());
+  auto trailing = DecodeQueryRequest(good + "x", kNative);
   EXPECT_FALSE(trailing.ok());
 }
 
 TEST(Wire, GarbagePayloadIsRejectedNotTrusted) {
-  for (const WireFormat format : {WireFormat::kNative, WireFormat::kJson}) {
-    EXPECT_FALSE(DecodeQueryResult("\xff\xfe garbage \x01", format, false,
-                                   false).ok());
-    EXPECT_FALSE(DecodeDeltaAck("{not json", format).ok());
-  }
-  // JSON with the wrong shape (valid JSON, missing fields).
-  EXPECT_FALSE(DecodeQueryRequest("[1,2,3]", WireFormat::kJson).ok());
+  EXPECT_FALSE(
+      DecodeQueryResult("\xff\xfe garbage \x01", kNative, false, false).ok());
+  EXPECT_FALSE(DecodeDeltaAck("{not json").ok());
+  // The query codecs keep a format argument, but only kNative decodes.
+  auto json = DecodeQueryRequest(EncodeQueryRequest({}, kNative),
+                                 WireFormat::kJson);
+  EXPECT_EQ(json.status().code(), StatusCode::kInvalidArgument);
+  auto json_result = DecodeQueryResult(EncodeQueryResult({}, kNative, false,
+                                                         false),
+                                       WireFormat::kJson, false, false);
+  EXPECT_EQ(json_result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Wire, FrameHeaderRoundTripsAndValidates) {
@@ -313,6 +342,176 @@ TEST(Wire, FrameHeaderRoundTripsAndValidates) {
   EncodeFrameHeader(header, bytes);
   bytes[5] = 7;
   EXPECT_FALSE(DecodeFrameHeader(bytes).ok());
+}
+
+// ------------------------------------------------ decoder mutation sweep --
+
+/// One valid encoding and the codec it belongs to: `reencode` decodes
+/// bytes of that kind and, on success, encodes the value again.
+struct CodecCase {
+  std::string name;
+  std::string bytes;
+  std::function<Result<std::string>(std::string_view)> reencode;
+};
+
+template <typename Decode, typename Encode>
+std::function<Result<std::string>(std::string_view)> Reencoder(
+    Decode decode, Encode encode) {
+  return [=](std::string_view bytes) -> Result<std::string> {
+    auto value = decode(bytes);
+    if (!value.ok()) {
+      return value.status();
+    }
+    return encode(*value);
+  };
+}
+
+std::vector<CodecCase> MutationCorpus() {
+  std::vector<CodecCase> corpus;
+  const auto encode_header = [](const FrameHeader& header) {
+    char out[kFrameHeaderSize];
+    EncodeFrameHeader(header, out);
+    return std::string(out, kFrameHeaderSize);
+  };
+  const auto header = Reencoder(
+      [](std::string_view bytes) -> Result<FrameHeader> {
+        // ReadFrame always hands DecodeFrameHeader exactly 16 bytes.
+        if (bytes.size() != kFrameHeaderSize) {
+          return Status::InvalidArgument("not a 16-byte header");
+        }
+        return DecodeFrameHeader(bytes.data());
+      },
+      encode_header);
+  for (const FrameHeader& h :
+       {FrameHeader{40, FrameType::kQueryRequest, kNative,
+                    kFlagTrace | kFlagStats, 7},
+        FrameHeader{1u << 20, FrameType::kResultFrame, kNative, kFlagStats,
+                    0x0102030405060708ull},
+        FrameHeader{0, FrameType::kErrorFrame, kNative, 0, 0},
+        FrameHeader{0, FrameType::kStatusRequest, WireFormat::kJson, 0, 3}}) {
+    corpus.push_back({"header", encode_header(h), header});
+  }
+
+  const auto request = Reencoder(
+      [](std::string_view bytes) { return DecodeQueryRequest(bytes, kNative); },
+      [](const QueryRequest& r) { return EncodeQueryRequest(r, kNative); });
+  corpus.push_back({"query request",
+                    EncodeQueryRequest({SolverKind::kCount, 0, kSmallQuery, ""},
+                                       kNative),
+                    request});
+  corpus.push_back(
+      {"query request",
+       EncodeQueryRequest(
+           {SolverKind::kShapley, 250, kSmallQuery, "deadbeef01234567"},
+           kNative),
+       request});
+
+  for (const SolverKind solver :
+       {SolverKind::kCount, SolverKind::kPqe, SolverKind::kExpect,
+        SolverKind::kResilience, SolverKind::kShapley}) {
+    QueryResult result;
+    result.solver = solver;
+    result.count = 12345;
+    result.number = 0.1 + 0.2;
+    if (solver == SolverKind::kShapley) {
+      result.shapley = {{"R(1,2)", "1/3", 1.0 / 3.0},
+                        {"S(7)", "2/3", 2.0 / 3.0}};
+    }
+    result.stats.rule1_rows_scanned = 9;
+    result.stats.exec_ns = 70000;
+    result.stats.plan_cache_hit = solver != SolverKind::kPqe;
+    result.trace_json = "{\"traceEvents\": []}";
+    for (const bool stats : {false, true}) {
+      for (const bool trace : {false, true}) {
+        corpus.push_back(
+            {std::string("result ") + SolverKindName(solver),
+             EncodeQueryResult(result, kNative, stats, trace),
+             Reencoder(
+                 [=](std::string_view bytes) {
+                   return DecodeQueryResult(bytes, kNative, stats, trace);
+                 },
+                 [=](const QueryResult& decoded) {
+                   return EncodeQueryResult(decoded, kNative, stats, trace);
+                 })});
+      }
+    }
+  }
+
+  const auto error = Reencoder(DecodeError, [](const ErrorPayload& e) {
+    return EncodeError(Status(e.code, e.message));
+  });
+  corpus.push_back(
+      {"error", EncodeError(Status::ResourceExhausted("full")), error});
+  corpus.push_back({"error", EncodeError(Status::ParseError("")), error});
+  corpus.push_back({"delta ack", EncodeDeltaAck(DeltaAck{3, 5000}),
+                    Reencoder(DecodeDeltaAck, EncodeDeltaAck)});
+  const auto status = Reencoder(DecodeStatusPayload, [](const auto& value) {
+    return EncodeStatusPayload(value, kNative);
+  });
+  StatusPayload payload{5'000'000'000ull, 0, 0, 1, 17, 0, {}};
+  corpus.push_back({"status", EncodeStatusPayload(payload, kNative), status});
+  payload.errors_total = 2;
+  payload.recent_errors = {"invalid-argument: x", "deadline"};
+  corpus.push_back({"status", EncodeStatusPayload(payload, kNative), status});
+  return corpus;
+}
+
+TEST(WireMutation, EveryMutantIsRejectedOrReencodesToItsBytes) {
+  // The property behind reject-don't-trust: a decoder either refuses
+  // bytes with a clean Status, or what it accepted is exactly what the
+  // encoder writes for the value it decoded — no byte is ignored,
+  // normalized or misread. Seeded and clock-free, so every run checks
+  // the same mutants.
+  const std::vector<CodecCase> corpus = MutationCorpus();
+  for (const CodecCase& entry : corpus) {
+    Result<std::string> reencoded = entry.reencode(entry.bytes);
+    ASSERT_TRUE(reencoded.ok()) << entry.name << ": " << reencoded.status();
+    ASSERT_EQ(*reencoded, entry.bytes) << entry.name;
+  }
+  Rng rng(0x5eed);
+  const auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  constexpr int kMutants = 6000;
+  size_t accepted = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const CodecCase& entry = corpus[pick(corpus.size())];
+    std::string mutant = entry.bytes;
+    switch (rng.UniformInt(0, 4)) {
+      case 0:  // Flip bits of one byte.
+        mutant[pick(mutant.size())] ^=
+            static_cast<char>(rng.UniformInt(1, 255));
+        break;
+      case 1:  // Insert one byte.
+        mutant.insert(pick(mutant.size() + 1), 1,
+                      static_cast<char>(rng.UniformInt(0, 255)));
+        break;
+      case 2:  // Delete one byte.
+        mutant.erase(pick(mutant.size()), 1);
+        break;
+      case 3:  // Truncate.
+        mutant.resize(pick(mutant.size()));
+        break;
+      default: {  // Splice: a prefix of this entry, a suffix of another.
+        const std::string& other = corpus[pick(corpus.size())].bytes;
+        mutant = mutant.substr(0, pick(mutant.size() + 1)) +
+                 other.substr(pick(other.size() + 1));
+        break;
+      }
+    }
+    Result<std::string> reencoded = entry.reencode(mutant);
+    if (!reencoded.ok()) {
+      EXPECT_EQ(reencoded.status().code(), StatusCode::kInvalidArgument)
+          << entry.name << " mutant " << i << ": " << reencoded.status();
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(*reencoded, mutant)
+        << entry.name << " mutant " << i << " decoded, but re-encodes "
+        << "to other bytes";
+  }
+  EXPECT_GT(accepted, 0u) << "no mutant decoded: the sweep is vacuous";
+  EXPECT_LT(accepted, static_cast<size_t>(kMutants));
 }
 
 // ------------------------------------------- delta-text line atomicity --
@@ -467,16 +666,27 @@ struct TestServer {
     EXPECT_NE(server->port(), 0);
   }
 
-  HierarqClient Connect(WireFormat format = WireFormat::kNative) {
-    HierarqClient client(format);
+  HierarqClient Connect() {
+    HierarqClient client;
     const Status connected = client.Connect("127.0.0.1", server->port());
     EXPECT_TRUE(connected.ok()) << connected;
     return client;
   }
-};
 
-constexpr const char* kSmallDb = "R(1,2)\nR(1,3)\nR(2,4)\nS(1,5)\nS(2,6)\n";
-constexpr const char* kSmallQuery = "Q() :- R(A,B), S(A,C)";
+  /// A bare loopback socket, for frames HierarqClient would never send.
+  int ConnectRaw() const {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(server->port());
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    return fd;
+  }
+};
 
 TEST(Server, AnswersCountPingAndMetrics) {
   TestServer fixture(kSmallDb);
@@ -502,21 +712,6 @@ TEST(Server, AnswersCountPingAndMetrics) {
   auto metrics_json = client.Metrics(WireFormat::kJson);
   ASSERT_TRUE(metrics_json.ok());
   EXPECT_EQ(metrics_json->front(), '{');
-}
-
-TEST(Server, BothWireFormatsReturnIdenticalResults) {
-  TestServer fixture(kSmallDb);
-  HierarqClient native = fixture.Connect(WireFormat::kNative);
-  HierarqClient json = fixture.Connect(WireFormat::kJson);
-  for (const SolverKind solver : {SolverKind::kCount, SolverKind::kPqe,
-                                  SolverKind::kExpect}) {
-    auto a = native.Query(solver, kSmallQuery);
-    auto b = json.Query(solver, kSmallQuery);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_EQ(a->count, b->count);
-    EXPECT_EQ(a->number, b->number);  // Bit-exact across framings.
-  }
 }
 
 TEST(Server, ShapleyAndResilienceMatchDirectSolvers) {
@@ -623,7 +818,7 @@ TEST(Server, DeadlineExceededLeavesDatabaseUntouched) {
   HierarqServer::Options options;
   HierarqServer server(options, VersionedDatabase(big), Database{}, &dict);
   ASSERT_TRUE(server.Start().ok());
-  HierarqClient client(WireFormat::kNative);
+  HierarqClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 
   const uint64_t generation_before = server.database().generation();
@@ -654,15 +849,7 @@ TEST(Server, QueueFullAnswersResourceExhausted) {
   HierarqClient probe = fixture.Connect();  // Ensures the server is up.
   ASSERT_TRUE(probe.Ping().ok());
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(fixture.server->port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
+  const int fd = fixture.ConnectRaw();
   constexpr uint64_t kRequests = 16;
   QueryRequest request;
   request.solver = SolverKind::kCount;
@@ -683,7 +870,7 @@ TEST(Server, QueueFullAnswersResourceExhausted) {
       ++ok_answers;
     } else {
       ASSERT_EQ(frame->header.type, FrameType::kErrorFrame);
-      auto error = DecodeError(frame->payload, frame->header.format);
+      auto error = DecodeError(frame->payload);
       ASSERT_TRUE(error.ok());
       EXPECT_EQ(error->code, StatusCode::kResourceExhausted);
       ++shed;
@@ -697,15 +884,7 @@ TEST(Server, QueueFullAnswersResourceExhausted) {
 
 TEST(Server, MalformedHeaderGetsErrorFrameThenClose) {
   TestServer fixture(kSmallDb);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(fixture.server->port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
+  const int fd = fixture.ConnectRaw();
   // 16 bytes of garbage: a wild length under an unknown type tag.
   char garbage[kFrameHeaderSize];
   std::memset(garbage, 0xab, sizeof(garbage));
@@ -719,6 +898,62 @@ TEST(Server, MalformedHeaderGetsErrorFrameThenClose) {
   ASSERT_FALSE(eof.ok());
   EXPECT_EQ(eof.status().code(), StatusCode::kNotFound);
   ::close(fd);
+}
+
+TEST(Server, JsonFramesOtherThanMetricsAndStatusGetOneNativeError) {
+  TestServer fixture(kSmallDb);
+  HierarqClient client = fixture.Connect();
+  auto before = client.Query(SolverKind::kCount, kSmallQuery);
+  ASSERT_TRUE(before.ok()) << before.status();
+  // JSON is a rendering of metrics and status only: a JSON query, delta
+  // or ping gets one native invalid-argument error frame, and the delta
+  // (the same text in either format) is not applied.
+  const int fd = fixture.ConnectRaw();
+  const std::pair<FrameType, std::string> json_frames[] = {
+      {FrameType::kQueryRequest, "{\"solver\":\"count\",\"query\":\"Q()\"}"},
+      {FrameType::kDeltaBatch, "+R(9,9); +S(9,9)"},
+      {FrameType::kPing, ""}};
+  uint64_t id = 0;
+  for (const auto& [type, payload] : json_frames) {
+    ASSERT_TRUE(WriteFrame(fd, type, WireFormat::kJson, 0, ++id, payload).ok());
+    auto frame = ReadFrame(fd);
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    EXPECT_EQ(frame->header.type, FrameType::kErrorFrame)
+        << static_cast<int>(type);
+    EXPECT_EQ(frame->header.format, kNative);
+    EXPECT_EQ(frame->header.request_id, id);
+    EXPECT_EQ(DecodeError(frame->payload)->code, StatusCode::kInvalidArgument);
+  }
+  // The same socket then answers a native query: the next frame is its
+  // result, with the count the refused delta would have changed.
+  ASSERT_TRUE(WriteFrame(fd, FrameType::kQueryRequest, kNative, 0, ++id,
+                         EncodeQueryRequest(
+                             {SolverKind::kCount, 0, kSmallQuery, ""}, kNative))
+                  .ok());
+  auto answer = ReadFrame(fd);
+  ::close(fd);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  ASSERT_EQ(answer->header.type, FrameType::kResultFrame);
+  EXPECT_EQ(answer->header.request_id, id);
+  EXPECT_EQ(DecodeQueryResult(answer->payload, kNative, false, false)->count,
+            before->count);
+  auto ack = client.ApplyDelta("+T(1,1)");
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(ack->generation, 1u) << "the JSON delta must not have applied";
+}
+
+TEST(Server, TraceIdWithAQuoteIsRejectedAndTheConnectionStillAnswers) {
+  TestServer fixture(kSmallDb);
+  HierarqClient client = fixture.Connect();
+  // The server writes the id into its trace JSON; a quote would break it.
+  auto bad = client.Query(SolverKind::kCount, kSmallQuery, 0,
+                          /*capture_trace=*/true, false, "a\"b");
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  auto good = client.Query(SolverKind::kCount, kSmallQuery, 0,
+                           /*capture_trace=*/true, false, "trace_id-42");
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_NE(good->trace_json.find("\"trace_id\": \"trace_id-42\""),
+            std::string::npos);
 }
 
 TEST(Server, TraceCaptureAnnouncesPlanSteps) {
@@ -911,8 +1146,7 @@ struct ScriptedServer {
           (void)WriteFrame(fd, FrameType::kErrorFrame, WireFormat::kNative,
                            0, frame->header.request_id,
                            EncodeError(Status::ResourceExhausted(
-                                           "scripted: queue full"),
-                                       WireFormat::kNative));
+                               "scripted: queue full")));
           continue;
         }
         if (then_answer) {

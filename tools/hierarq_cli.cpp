@@ -94,11 +94,11 @@ struct ObsOptions {
   bool metrics = false;     ///< Dump the metrics registry to stderr.
 };
 
-/// Client-mode flags (--deadline-ms / --format / --request-trace=FILE),
-/// peeled globally like the others but only meaningful under `client`.
+/// Client-mode flags (--deadline-ms / --request-trace=FILE / --stats /
+/// --retries), peeled globally like the others but only meaningful under
+/// `client`.
 struct ClientOptions {
   uint64_t deadline_ms = 0;  ///< Per-request deadline (0 = server default).
-  net::WireFormat format = net::WireFormat::kNative;
   std::string trace_path;    ///< Stitched client+server trace output.
   bool stats = false;        ///< Print the server's QueryStats line.
   uint32_t max_retries = 0;  ///< Query retries on queue-full rejections.
@@ -158,8 +158,6 @@ int Usage() {
                "exit\n"
                "  --deadline-ms=N      (client) per-request deadline; 0 = "
                "server default\n"
-               "  --format=native|json (client) wire payload encoding "
-               "(default native)\n"
                "  --request-trace=FILE (client) trace the request on both "
                "sides and write ONE stitched Chrome trace to FILE (client "
                "spans pid 1, server spans pid 2, shared trace id)\n"
@@ -651,7 +649,6 @@ int RunClient(int argc, char** argv, const ClientOptions& options) {
     return Fail(host_port.status());
   }
   net::HierarqClient::Options client_opts;
-  client_opts.format = options.format;
   client_opts.max_retries = options.max_retries;
   net::HierarqClient client(client_opts);
   if (const Status connected =
@@ -986,21 +983,6 @@ int Run(int argc, char** argv) {
         return Usage();
       }
       client_options.deadline_ms = static_cast<uint64_t>(*parsed_deadline);
-      continue;
-    }
-    if (arg.rfind("--format=", 0) == 0) {
-      const std::string_view format = arg.substr(9);
-      if (format == "native") {
-        client_options.format = net::WireFormat::kNative;
-      } else if (format == "json") {
-        client_options.format = net::WireFormat::kJson;
-      } else {
-        std::fprintf(stderr,
-                     "error: unknown wire format in '%s' (expected native "
-                     "or json)\n",
-                     argv[i]);
-        return Usage();
-      }
       continue;
     }
     if (arg.rfind("--request-trace=", 0) == 0) {

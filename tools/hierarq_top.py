@@ -19,7 +19,10 @@ Wire framing (must match src/hierarq/net/wire.h):
   u32 payload_len | u8 type | u8 format | u16 flags | u64 request_id  (LE)
 All 64-bit integers in the JSON payloads arrive as decimal strings
 (doubles round past 2^53); this tool is one of the consumers that
-contract exists for.
+contract exists for. Error frames are always native: u32 status code |
+u32 length | message bytes. An error frame with request id 0 concerns
+the connection itself (e.g. the server's connection cap refused it) and
+is the answer to whatever was asked.
 """
 
 import argparse
@@ -30,6 +33,7 @@ import sys
 import time
 
 HEADER = struct.Struct("<IBBHQ")
+ERROR_HEAD = struct.Struct("<II")
 
 # FrameType values from net/wire.h.
 METRICS_REQUEST = 6
@@ -65,11 +69,13 @@ def round_trip(sock, frame_type, request_id):
         if length > MAX_PAYLOAD:
             raise WireError("oversized frame (%d bytes)" % length)
         payload = read_exact(sock, length)
+        if rtype == ERROR_FRAME and rid in (0, request_id):
+            code, length = ERROR_HEAD.unpack_from(payload)
+            raise WireError("server error (status code %d): %s" % (
+                code, payload[ERROR_HEAD.size:][:length].decode(
+                    "utf-8", "replace")))
         if rid != request_id:
             continue  # Stale response from an earlier (timed-out) poll.
-        if rtype == ERROR_FRAME:
-            raise WireError("server error: %s" % payload.decode(
-                "utf-8", "replace"))
         return rtype, payload
 
 
@@ -180,7 +186,8 @@ def main():
         while True:
             try:
                 status, metrics = fetch(sock, request_id)
-            except (WireError, ValueError, KeyError) as error:
+            except (WireError, OSError, ValueError, KeyError,
+                    struct.error) as error:
                 print("error: %s" % error, file=sys.stderr)
                 return 1
             request_id += 2
