@@ -34,8 +34,8 @@ size_t MeasureOps(const ConjunctiveQuery& q, const Database& db) {
 }
 
 void EmitThroughputJson();
-void EmitThreadScalingRows(bench::JsonReport* report,
-                           const ConjunctiveQuery& q, const Database& db);
+void EmitReplayRow(bench::JsonReport* report, const ConjunctiveQuery& q,
+                   const Database& db);
 void EmitSimdKernelRows(bench::JsonReport* report,
                         const ConjunctiveQuery& q, const Database& db);
 
@@ -111,7 +111,7 @@ void EmitThroughputJson() {
   // Scales target |D| ≈ 30k / 100k / 300k total facts (the paper query
   // has three relations); below that the run is annotation-bound and
   // storage choice barely registers. The biggest instance is built once
-  // and shared with the thread-scaling and SIMD sections below.
+  // and shared with the replay and SIMD sections below.
   const Database big_db = PaperQueryDatabase(q, 100000);
   const auto measure_size = [&](const Database& db) {
     for (StorageKind kind : kAllStorageKinds) {
@@ -153,7 +153,7 @@ void EmitThroughputJson() {
     measure_size(PaperQueryDatabase(q, tuples));
   }
   measure_size(big_db);
-  EmitThreadScalingRows(&report, q, big_db);
+  EmitReplayRow(&report, q, big_db);
   EmitSimdKernelRows(&report, q, big_db);
 
   // Instrumentation overhead (obs/): the same paper-query replay with
@@ -180,15 +180,12 @@ void EmitThroughputJson() {
   report.WriteToFile();
 }
 
-/// Intra-query thread scaling: replay-only throughput of the single
-/// biggest instance (|D| ≈ 300k) from columnar bases per thread count —
-/// the rows the parallel Rule 1/Rule 2 fan-out (core/parallel.h)
-/// targets. threads=1 is the bit-identical serial engine; shard-parallel
-/// runs are deterministic for any thread count.
-/// Note: scaling only shows on hosts with that many physical cores
-/// (hardware_concurrency is recorded on every row).
-void EmitThreadScalingRows(bench::JsonReport* report,
-                           const ConjunctiveQuery& q, const Database& db) {
+/// Replay-only throughput of the single biggest instance (|D| ≈ 300k)
+/// from columnar bases, with the host's hardware thread count beside it.
+/// The "/t1" suffix is the row's historical name (it once headed a
+/// thread-count sweep), kept so stored snapshots still compare.
+void EmitReplayRow(bench::JsonReport* report, const ConjunctiveQuery& q,
+                   const Database& db) {
   const CountMonoid monoid;
   const auto annotate = std::function<uint64_t(const Fact&)>(
       [](const Fact&) -> uint64_t { return 1; });
@@ -196,33 +193,25 @@ void EmitThreadScalingRows(bench::JsonReport* report,
   const double hw =
       static_cast<double>(std::thread::hardware_concurrency());
 
-  std::printf("  intra-query thread scaling (|D| = %zu, hw threads=%.0f):\n",
-              db.NumFacts(), hw);
   const StorageKind kind = StorageKind::kColumnar;
   const AnnotationPool<uint64_t> pool =
       AnnotateForQuerySet<uint64_t>({&q}, db, annotate, plus, kind);
   const auto bases = ResolveBases<uint64_t>(q, pool);
-  for (size_t threads : {1, 2, 4, 8}) {
-    Evaluator::Options options;
-    options.storage = kind;
-    options.intra_query_threads = threads;
-    Evaluator evaluator(options);
-    auto plan = evaluator.GetPlan(q);
-    const double replays_per_sec = bench::MeasureRate([&] {
-      benchmark::DoNotOptimize(
-          evaluator.ReplayPlan(**plan, monoid, q, bases));
-    });
-    std::printf("    %-9s threads=%zu  %9.0f replays/sec\n",
-                StorageKindName(kind), threads, replays_per_sec);
-    report->AddRow(
-        bench::JsonReport::ThreadedRow(
-            "paper_query/" + std::to_string(db.NumFacts()) + "/replay",
-            kind, threads),
-        {{"num_facts", static_cast<double>(db.NumFacts())},
-         {"threads", static_cast<double>(threads)},
-         {"hardware_threads", hw},
-         {"replays_per_sec", replays_per_sec}});
-  }
+  Evaluator evaluator(kind);
+  auto plan = evaluator.GetPlan(q);
+  const double replays_per_sec = bench::MeasureRate([&] {
+    benchmark::DoNotOptimize(evaluator.ReplayPlan(**plan, monoid, q, bases));
+  });
+  std::printf("  replay (|D| = %zu, hw threads=%.0f): %9.0f replays/sec\n",
+              db.NumFacts(), hw, replays_per_sec);
+  report->AddRow(
+      bench::JsonReport::StorageRow(
+          "paper_query/" + std::to_string(db.NumFacts()) + "/replay", kind) +
+          "/t1",
+      {{"num_facts", static_cast<double>(db.NumFacts())},
+       {"threads", 1.0},
+       {"hardware_threads", hw},
+       {"replays_per_sec", replays_per_sec}});
 }
 
 /// SIMD A/B on identical rows: the batched Mix64 hash-fold kernel (the

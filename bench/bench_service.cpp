@@ -205,7 +205,6 @@ void Report() {
              measured);
     report.AddRow("scaling/workers_" + std::to_string(workers),
                   {{"workers", static_cast<double>(workers)},
-                   {"threads", 1.0},  // Intra-query parallelism off here.
                    {"hardware_concurrency", static_cast<double>(hardware)},
                    {"num_facts", static_cast<double>(db.NumFacts())},
                    {"queries_per_sec", qps},
@@ -214,38 +213,6 @@ void Report() {
   PrintNote("speedup is bounded by hardware_concurrency; the JSON records");
   PrintNote("it so cross-machine comparisons stay honest.");
 
-  // ---- (c) Single-huge-replay routing: intra-query threads. -----------
-  // One query per batch means across-query fan-out has nothing to split;
-  // intra_query_threads > 1 instead shards the replay's Rule 1/Rule 2
-  // steps (core/parallel.h) across the same pool.
-  PrintNote("single-query batch by intra-query threads (replays/sec):");
-  const ConjunctiveQuery& single = queries.front();
-  for (size_t threads : {1, 2, 4, 8}) {
-    EvalService::Options intra_options;
-    intra_options.num_workers = std::max<size_t>(threads, 1);
-    intra_options.intra_query_threads = threads;
-    intra_options.intra_query_min_support = 1;
-    EvalService service(intra_options);
-    const auto annotate = OneAnnotator();
-    const double replays_per_sec = bench::MeasureRate([&] {
-      benchmark::DoNotOptimize(service.EvaluateMany<CountMonoid>(
-          monoid, {&single}, db, annotate));
-    });
-    const size_t intra_replays = service.stats().intra_parallel_replays;
-    char measured[96];
-    std::snprintf(measured, sizeof(measured),
-                  "%9.1f replays/s  (%zu intra-routed)", replays_per_sec,
-                  intra_replays);
-    PrintRow("    threads = " + std::to_string(threads),
-             threads <= hardware ? "~linear to #cores" : "flat past #cores",
-             measured);
-    report.AddRow("intra_query/threads_" + std::to_string(threads),
-                  {{"threads", static_cast<double>(threads)},
-                   {"hardware_concurrency", static_cast<double>(hardware)},
-                   {"num_facts", static_cast<double>(db.NumFacts())},
-                   {"replays_per_sec", replays_per_sec},
-                   {"intra_replays", static_cast<double>(intra_replays)}});
-  }
   report.WriteToFile();
 }
 

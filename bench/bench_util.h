@@ -129,15 +129,6 @@ class JsonReport {
     return base + "/" + StorageKindName(kind);
   }
 
-  /// Row name for a measurement under an explicit backend *and*
-  /// intra-query thread count: "base/<backend>/t<threads>". Rows named
-  /// this way should also record a numeric "threads" metric so
-  /// bench_compare can join thread-scaling sweeps across snapshots.
-  static std::string ThreadedRow(const std::string& base, StorageKind kind,
-                                 size_t threads) {
-    return StorageRow(base, kind) + "/t" + std::to_string(threads);
-  }
-
  private:
   struct Row {
     std::string name;

@@ -27,10 +27,9 @@
 /// operations (`AnnotatedRelation::ProjectDropInto` / `JoinUnionInto`) so
 /// each backend applies its layout-aware fast path — the columnar backend
 /// reads only a projection's surviving columns and builds Rule 2 results
-/// with compare-free inserts. Serial steps inherit the base relations'
-/// storage backend, keeping every step on a native path; with an enabled
-/// `IntraQueryParallel` big steps shard across a pool (core/parallel.h)
-/// inside the same loop. The in-place overload runs over a caller-owned
+/// with compare-free inserts. Every step inherits the base relations'
+/// storage backend, keeping it on a native path. The in-place overload
+/// runs over a caller-owned
 /// relations vector, which lets `Evaluator` (core/evaluator.h) reuse
 /// table buffers across runs, and `RunEliminationSteps` is the step loop
 /// alone, which the incremental view (incremental/incremental_view.h)
@@ -45,25 +44,23 @@
 
 #include "hierarq/algebra/two_monoid.h"
 #include "hierarq/core/cancel.h"
-#include "hierarq/core/parallel.h"
 #include "hierarq/data/annotated.h"
 #include "hierarq/obs/query_stats.h"
 #include "hierarq/obs/trace.h"
 #include "hierarq/query/elimination.h"
 #include "hierarq/query/query.h"
 #include "hierarq/util/result.h"
+#include "hierarq/util/simd.h"
 
 namespace hierarq {
 
 /// The elimination loop every engine runs: executes `plan`'s steps in
 /// order over `relations`, which must have `plan.num_atoms()` entries with
 /// the first `plan.num_base_atoms()` filled by annotation (indexed by query
-/// atom position). Each step Resets its result slot and runs through
-/// `ProjectDropStep` / `JoinUnionStep` (core/parallel.h), which shard big
-/// steps over `par` and run the serial natives otherwise — always, when
-/// `par` is disabled. Serial steps write into the base relations'
-/// backend, so every small step stays on a storage-native path (scratch
-/// slots may carry a stale kind from an earlier run).
+/// atom position). Each step Resets its result slot into the base
+/// relations' backend (scratch slots may carry a stale kind from an
+/// earlier run) and runs the storage-native `ProjectDropInto` (Rule 1) or
+/// `JoinUnionInto` (Rule 2).
 ///
 /// This loop is the one place that polls the cancellation checkpoint,
 /// records `QueryStats` steps and emits the trace's step events. With
@@ -75,7 +72,7 @@ template <TwoMonoid M>
 void RunEliminationSteps(
     const EliminationPlan& plan, const M& monoid,
     std::vector<AnnotatedRelation<typename M::value_type>>& relations,
-    const IntraQueryParallel& par, bool keep_inputs) {
+    bool keep_inputs) {
   using K = typename M::value_type;
 
   HIERARQ_CHECK_EQ(relations.size(), plan.num_atoms());
@@ -96,8 +93,7 @@ void RunEliminationSteps(
   uint32_t step_index = 0;
   for (const EliminationStep& step : plan.steps()) {
     // Deadline gate: between steps every intermediate is a complete
-    // relation, so this is the one safe place to abandon the run. Shard
-    // sub-tasks within a step run to completion.
+    // relation, so this is the one safe place to abandon the run.
     CancellationCheckpoint();
     AnnotatedRelation<K>& result = relations[step.result_atom];
     const VarSet& result_vars = plan.vars_of(step.result_atom);
@@ -106,15 +102,14 @@ void RunEliminationSteps(
 
     const uint64_t start_ns = tracer != nullptr ? obs::Tracer::NowNs() : 0;
     uint64_t rows_in = 0;
-    StepExecution exec;
+    result.Reset(result_vars, storage);
     if (step.rule == EliminationRule::kProjectVariable) {
       // Rule 1: ⊕-project `step.variable` out of `step.source_atom`.
       AnnotatedRelation<K>& source = relations[step.source_atom];
       HIERARQ_CHECK_LT(step.drop_pos, source.schema().size());
       HIERARQ_CHECK_EQ(source.schema()[step.drop_pos], step.variable);
       rows_in = source.size();
-      ProjectDropStep(source, step.drop_pos, result_vars, plus, par, storage,
-                      &result, &exec);
+      source.ProjectDropInto(step.drop_pos, plus, &result);
       if (!keep_inputs) {
         source.Clear();
       }
@@ -123,15 +118,15 @@ void RunEliminationSteps(
       AnnotatedRelation<K>& left = relations[step.left_atom];
       AnnotatedRelation<K>& right = relations[step.right_atom];
       rows_in = left.size() + right.size();
-      JoinUnionStep(left, right, result_vars, times, monoid.Zero(), par,
-                    storage, &result, &exec);
+      AnnotatedRelation<K>::JoinUnionInto(left, right, times, monoid.Zero(),
+                                          &result);
       if (!keep_inputs) {
         left.Clear();
         right.Clear();
       }
     }
     if (query_stats != nullptr) {
-      query_stats->RecordStep(rule, rows_in, result.size(), exec.parallel);
+      query_stats->RecordStep(rule, rows_in, result.size());
     }
     if (tracer != nullptr) {
       obs::TraceStepArgs args;
@@ -139,8 +134,6 @@ void RunEliminationSteps(
       args.rule = rule;
       args.backend = result.storage();
       args.simd = simd::ActiveLevel();
-      args.parallel = exec.parallel;
-      args.threads = static_cast<uint32_t>(exec.threads);
       args.rows_in = rows_in;
       args.rows_out = result.size();
       tracer->EmitStep(start_ns, obs::Tracer::NowNs(), args);
@@ -151,15 +144,13 @@ void RunEliminationSteps(
 
 /// Runs Algorithm 1 in place over `relations` (the contract of
 /// `RunEliminationSteps`, consumed inputs Cleared) and returns the final
-/// nullary atom's annotation. `par` enables intra-query parallelism for
-/// big steps; the default runs every step serially.
+/// nullary atom's annotation.
 template <TwoMonoid M>
 typename M::value_type RunAlgorithm1InPlace(
     const EliminationPlan& plan, const M& monoid,
-    std::vector<AnnotatedRelation<typename M::value_type>>& relations,
-    const IntraQueryParallel& par = {}) {
+    std::vector<AnnotatedRelation<typename M::value_type>>& relations) {
   using K = typename M::value_type;
-  RunEliminationSteps(plan, monoid, relations, par, /*keep_inputs=*/false);
+  RunEliminationSteps(plan, monoid, relations, /*keep_inputs=*/false);
 
   // The final atom is nullary; its only possible key is the empty tuple.
   // Move the annotation out (it can be a whole provenance tree or #Sat

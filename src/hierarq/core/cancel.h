@@ -9,7 +9,7 @@
 /// over a 10M-fact database cannot be aborted from outside without
 /// leaving scratch state undefined. The contract here is *checkpointed*
 /// cancellation — the one Algorithm 1 step loop (`RunEliminationSteps`
-/// in core/algorithm1.h, serial or parallel) calls
+/// in core/algorithm1.h) calls
 /// `CancellationCheckpoint()` between elimination steps, the one place
 /// where all intermediate state is a well-formed relation and nothing is
 /// half-built. A triggered checkpoint throws `CancelledError`,
@@ -20,9 +20,9 @@
 ///
 /// Mechanics: a `CancelToken` is a deadline (on the `obs::Tracer::NowNs`
 /// timeline) plus a manual cancel flag. It is installed per *thread* with
-/// `ScopedCancel` — the step loops run on whichever thread executes the
-/// evaluation (a service pool worker for batch fan-out, the submitting
-/// thread for intra-parallel replays), so the installer wraps exactly the
+/// `ScopedCancel` — the step loop runs on whichever thread executes the
+/// evaluation (a service pool worker for batch fan-out, the caller's
+/// thread for a bare `Evaluator`), so the installer wraps exactly the
 /// evaluation call. With no token installed a checkpoint is one
 /// thread_local load and a branch: the default costs nothing measurable
 /// against a step that scans thousands of rows.
@@ -36,6 +36,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "hierarq/algebra/bagmax_monoid.h"  // SatAddU64
 #include "hierarq/obs/query_stats.h"
 #include "hierarq/obs/trace.h"
 
@@ -59,9 +60,10 @@ class CancelToken {
     deadline_ns_.store(deadline_ns, std::memory_order_relaxed);
   }
 
-  /// Convenience: expire `budget_ns` from now.
+  /// Convenience: expire `budget_ns` from now. The sum saturates, so a
+  /// budget too large to represent is a deadline that never fires.
   void ExpireAfter(uint64_t budget_ns) {
-    set_deadline_ns(obs::Tracer::NowNs() + budget_ns);
+    set_deadline_ns(SatAddU64(obs::Tracer::NowNs(), budget_ns));
   }
 
   /// Manual cancellation (client disconnected, server shutting down).

@@ -26,15 +26,6 @@
 /// is single-threaded by design (one per worker); plans are immutable
 /// after build, so workers share a thread-safe `PlanProvider`
 /// (service/shared_plan_cache.h) while each keeps private scratch.
-///
-/// One evaluation can additionally parallelize *inside* itself:
-/// `Options.intra_query_threads > 1` fans each large Rule 1/Rule 2 step
-/// out over hash shards (core/parallel.h) — the single-huge-replay
-/// regime, where across-query fan-out has nothing to fan out. Serial and
-/// parallel evaluations run the same step loop (`RunAlgorithm1InPlace`,
-/// core/algorithm1.h); only its `IntraQueryParallel` argument differs.
-/// Results are deterministic for any thread count and bit-identical to
-/// serial for exact monoids.
 
 #include <memory>
 #include <string>
@@ -44,7 +35,6 @@
 
 #include "hierarq/algebra/two_monoid.h"
 #include "hierarq/core/algorithm1.h"
-#include "hierarq/core/parallel.h"
 #include "hierarq/data/annotated.h"
 #include "hierarq/data/database.h"
 #include "hierarq/data/storage.h"
@@ -53,7 +43,6 @@
 #include "hierarq/query/elimination.h"
 #include "hierarq/query/query.h"
 #include "hierarq/util/result.h"
-#include "hierarq/util/worker_pool.h"
 
 namespace hierarq {
 
@@ -235,47 +224,12 @@ class Evaluator : public PlanProvider {
     size_t evaluations = 0;      ///< Successful Evaluate/ReplayPlan calls.
   };
 
-  /// Engine configuration. Plain aggregate so call sites can name only
-  /// what they change.
-  struct Options {
-    /// Storage backend of the scratch relations (data/storage.h).
-    StorageKind storage = kDefaultStorageKind;
-    /// Intra-query parallelism for one evaluation's Rule 1/Rule 2 steps
-    /// (core/parallel.h): > 1 fans big steps out over hash shards; 1
-    /// keeps the bit-identical serial path. When no `intra_pool` is
-    /// supplied the evaluator owns a WorkerPool of this many threads.
-    size_t intra_query_threads = 1;
-    /// Steps whose input support is below this stay serial.
-    size_t parallel_min_rows = 4096;
-    /// Optional externally owned pool to fan out on (must outlive the
-    /// evaluator); EvalService lends its own pool this way so one huge
-    /// replay and batch fan-out share workers. Evaluate/ReplayPlan must
-    /// then be called from *outside* that pool's tasks.
-    WorkerPool* intra_pool = nullptr;
-  };
-
   Evaluator() = default;
 
   /// An evaluator whose scratch relations live in the given storage
   /// backend (data/storage.h) — how the differential suites run the
   /// baseline reference and the bench emitters pick their rows.
   explicit Evaluator(StorageKind storage) : storage_(storage) {}
-
-  /// The full-options constructor; `plans` (optional, non-owning) plays
-  /// the same role as in the PlanProvider constructor below.
-  explicit Evaluator(const Options& options, PlanProvider* plans = nullptr)
-      : shared_plans_(plans), storage_(options.storage) {
-    const size_t threads = options.intra_query_threads;
-    if (threads > 1) {
-      if (options.intra_pool == nullptr) {
-        owned_pool_ = std::make_unique<WorkerPool>(threads);
-      }
-      par_.pool = options.intra_pool != nullptr ? options.intra_pool
-                                                : owned_pool_.get();
-      par_.threads = threads;
-      par_.min_rows = options.parallel_min_rows;
-    }
-  }
 
   /// An evaluator whose plans come from `plans` (non-owning; must outlive
   /// this evaluator) instead of the private cache — the per-worker
@@ -344,19 +298,9 @@ class Evaluator : public PlanProvider {
     using K = typename M::value_type;
     HIERARQ_CHECK_EQ(bases.size(), plan.num_base_atoms());
     std::vector<AnnotatedRelation<K>>& relations = ScratchForPlan<K>(plan);
-    const auto copy_base = [&](size_t i) {
+    for (size_t i = 0; i < plan.num_base_atoms(); ++i) {
       HIERARQ_CHECK(bases[i] != nullptr);
       relations[i].AssignFrom(*bases[i], query.atoms()[i].vars());
-    };
-    if (par_.enabled()) {
-      // Distinct scratch targets, read-only shared sources: the copies
-      // are independent, so spread them over the pool too.
-      par_.pool->ParallelFor(plan.num_base_atoms(),
-                             [&](size_t, size_t i) { copy_base(i); });
-    } else {
-      for (size_t i = 0; i < plan.num_base_atoms(); ++i) {
-        copy_base(i);
-      }
     }
     ++stats_.evaluations;
     return Run(plan, monoid, relations);
@@ -376,23 +320,13 @@ class Evaluator : public PlanProvider {
     using K = typename M::value_type;
     HIERARQ_CHECK_EQ(bases.size(), plan.num_base_atoms());
     std::vector<AnnotatedRelation<K>>& relations = ScratchForPlan<K>(plan);
-    const auto fill_base = [&](size_t i) {
+    for (size_t i = 0; i < plan.num_base_atoms(); ++i) {
       HIERARQ_CHECK(bases[i].shared != nullptr);
       if (bases[i].movable != nullptr) {
         relations[i].AdoptFrom(std::move(*bases[i].movable),
                                query.atoms()[i].vars());
       } else {
         relations[i].AssignFrom(*bases[i].shared, query.atoms()[i].vars());
-      }
-    };
-    if (par_.enabled()) {
-      // Movable entries are exclusive to this query and copies only read
-      // their shared source, so the per-atom fills are independent.
-      par_.pool->ParallelFor(plan.num_base_atoms(),
-                             [&](size_t, size_t i) { fill_base(i); });
-    } else {
-      for (size_t i = 0; i < plan.num_base_atoms(); ++i) {
-        fill_base(i);
       }
     }
     ++stats_.evaluations;
@@ -417,10 +351,6 @@ class Evaluator : public PlanProvider {
   /// owner picks the layout once for the whole batch.
   StorageKind storage() const { return storage_; }
 
-  /// The intra-query parallel configuration (disabled unless the Options
-  /// constructor enabled it).
-  const IntraQueryParallel& intra_query_parallel() const { return par_; }
-
   /// Number of distinct queries with a cached plan (always 0 when plans
   /// are delegated to a shared provider).
   size_t num_cached_plans() const { return plans_.size(); }
@@ -431,10 +361,9 @@ class Evaluator : public PlanProvider {
 
  private:
   /// The single exit of Evaluate and every ReplayPlan overload: the one
-  /// step loop (core/algorithm1.h) under this evaluator's intra-query
-  /// configuration. Also the single observability point — one global
-  /// counter bump and, when a tracer is installed, one enclosing span
-  /// around the step events the loop emits.
+  /// step loop (core/algorithm1.h). Also the single observability point —
+  /// one global counter bump and, when a tracer is installed, one
+  /// enclosing span around the step events the loop emits.
   template <TwoMonoid M>
   typename M::value_type Run(
       const EliminationPlan& plan, const M& monoid,
@@ -451,7 +380,7 @@ class Evaluator : public PlanProvider {
     const uint64_t start_ns =
         query_stats != nullptr ? obs::Tracer::NowNs() : 0;
     typename M::value_type value =
-        RunAlgorithm1InPlace(plan, monoid, relations, par_);
+        RunAlgorithm1InPlace(plan, monoid, relations);
     if (query_stats != nullptr) {
       query_stats->exec_ns += obs::Tracer::NowNs() - start_ns;
     }
@@ -495,10 +424,6 @@ class Evaluator : public PlanProvider {
 
   PlanProvider* shared_plans_ = nullptr;  // Non-owning; nullptr = private.
   StorageKind storage_ = kDefaultStorageKind;
-  // Intra-query parallel execution (core/parallel.h). The pool is either
-  // owned (Options with no intra_pool) or borrowed; par_.pool aliases it.
-  std::unique_ptr<WorkerPool> owned_pool_;
-  IntraQueryParallel par_;
   // unique_ptr values keep plan addresses stable across cache rehashes.
   std::unordered_map<std::string, std::unique_ptr<EliminationPlan>> plans_;
   std::unordered_map<std::type_index, std::unique_ptr<ScratchBase>> scratch_;

@@ -12,12 +12,10 @@
 /// order (atom term order, duplicate variables, and constants are resolved
 /// once, when the base database is annotated).
 ///
-/// `AnnotatedRelation` is a facade over three interchangeable storage
+/// `AnnotatedRelation` is a facade over two interchangeable storage
 /// backends (data/storage.h), selected **at runtime** per relation: the
-/// column-major `ColumnarStore` (data/columnar.h, the default), the
-/// hash-sharded `ShardedColumnarStore` (data/sharded.h, the substrate of
-/// intra-query parallel steps — core/parallel.h), and the
-/// std::unordered_map reference baseline. All backends implement the
+/// column-major `ColumnarStore` (data/columnar.h, the default) and the
+/// std::unordered_map reference baseline. Both backends implement the
 /// same narrow interface —
 /// `Find` / `FindOrInsert` / `Merge` / `Erase` / `Reset` / `AssignFrom`
 /// plus the Algorithm 1 bulk operations `ProjectDropInto` (Rule 1) and
@@ -32,7 +30,6 @@
 
 #include "hierarq/data/columnar.h"
 #include "hierarq/data/database.h"
-#include "hierarq/data/sharded.h"
 #include "hierarq/data/storage.h"
 #include "hierarq/data/tuple.h"
 #include "hierarq/query/query.h"
@@ -44,7 +41,7 @@ namespace hierarq {
 
 /// Gives std::unordered_map the store surface `ColumnarStore` exposes, so
 /// the baseline backend plugs into AnnotatedRelation's dispatch like the
-/// columnar layouts.
+/// columnar layout.
 template <typename Key, typename Mapped, typename Hash>
 class StdMapAdapter {
  public:
@@ -184,8 +181,7 @@ class AnnotatedRelation {
   /// keeping the backend's buffers — the buffer-reuse entry point.
   void Reset(const VarSet& schema) {
     schema_ = schema;
-    if (storage_ == StorageKind::kColumnar ||
-        storage_ == StorageKind::kShardedColumnar) {
+    if (storage_ == StorageKind::kColumnar) {
       ResetColumnarArity();
     } else {
       Clear();
@@ -232,9 +228,9 @@ class AnnotatedRelation {
   }
 
   /// Visits every stored fact as (key, annotation). Visit order is
-  /// backend-defined (bucket order for the baseline, insertion order per
-  /// shard for the columnar layouts) — callers must not rely on it beyond
-  /// "each fact exactly once".
+  /// backend-defined (bucket order for the baseline, insertion order for
+  /// columnar) — callers must not rely on it beyond "each fact exactly
+  /// once".
   template <typename Fn>
   void ForEach(Fn fn) const {
     Visit([&](const auto& store) { store.ForEach(fn); });
@@ -309,23 +305,6 @@ class AnnotatedRelation {
     });
   }
 
-  /// Direct access to the active backend for layout-aware callers (the
-  /// intra-query parallel runner, core/parallel.h, scans rows and owns
-  /// shards through these). CHECKs that the named backend is the active
-  /// one.
-  const ColumnarStore<K>& columnar_store() const {
-    HIERARQ_CHECK(storage_ == StorageKind::kColumnar);
-    return columnar_;
-  }
-  const ShardedColumnarStore<K>& sharded_columnar_store() const {
-    HIERARQ_CHECK(storage_ == StorageKind::kShardedColumnar);
-    return sharded_columnar_;
-  }
-  ShardedColumnarStore<K>& mutable_sharded_columnar_store() {
-    HIERARQ_CHECK(storage_ == StorageKind::kShardedColumnar);
-    return sharded_columnar_;
-  }
-
  private:
   using BaselineStore = StdMapAdapter<Tuple, K, TupleHash>;
 
@@ -339,8 +318,6 @@ class AnnotatedRelation {
         return fn(baseline_);
       case StorageKind::kColumnar:
         return fn(columnar_);
-      case StorageKind::kShardedColumnar:
-        return fn(sharded_columnar_);
     }
     HIERARQ_CHECK(false) << "unhandled StorageKind "
                          << static_cast<int>(storage_);
@@ -353,8 +330,6 @@ class AnnotatedRelation {
         return fn(baseline_);
       case StorageKind::kColumnar:
         return fn(columnar_);
-      case StorageKind::kShardedColumnar:
-        return fn(sharded_columnar_);
     }
     HIERARQ_CHECK(false) << "unhandled StorageKind "
                          << static_cast<int>(storage_);
@@ -367,33 +342,28 @@ class AnnotatedRelation {
   Store& StoreOf() {
     if constexpr (std::is_same_v<Store, BaselineStore>) {
       return baseline_;
-    } else if constexpr (std::is_same_v<Store, ShardedColumnarStore<K>>) {
-      return sharded_columnar_;
     } else {
       static_assert(std::is_same_v<Store, ColumnarStore<K>>);
       return columnar_;
     }
   }
 
-  /// The columnar layouts are arity-typed: (re)target them at the current
-  /// schema width whenever one becomes (or stays) the active backend.
+  /// The columnar layout is arity-typed: (re)target it at the current
+  /// schema width whenever it becomes (or stays) the active backend.
   void ResetColumnarArity() {
     if (storage_ == StorageKind::kColumnar) {
       columnar_.Reset(schema_.size());
-    } else if (storage_ == StorageKind::kShardedColumnar) {
-      sharded_columnar_.Reset(schema_.size());
     }
   }
 
   VarSet schema_;
   StorageKind storage_ = kDefaultStorageKind;
-  // Exactly one backend is active (named by storage_); the others stay
-  // empty. Keeping all three as members makes backend switches and
-  // AssignFrom adoption trivial at the cost of a few empty shells per
-  // relation — relations are few (2x query atoms), so this is noise.
+  // Exactly one backend is active (named by storage_); the other stays
+  // empty. Keeping both as members makes backend switches and AssignFrom
+  // adoption trivial at the cost of an empty shell per relation —
+  // relations are few (2x query atoms), so this is noise.
   BaselineStore baseline_;
   ColumnarStore<K> columnar_;
-  ShardedColumnarStore<K> sharded_columnar_;
 };
 
 /// A K-annotated database instance for a query: one annotated relation per

@@ -356,72 +356,6 @@ class ColumnarStore {
     simd::PrefetchRead(rows_.data() + index);
   }
 
-  /// Read-only access to one column's dense value vector, and to one
-  /// row's annotation — the surface the intra-query parallel runner
-  /// (core/parallel.h) scans rows through without materializing tuples.
-  const std::vector<Value>& column(size_t c) const { return columns_[c]; }
-  const K& row_value(uint32_t row) const { return values_[row].value; }
-
-  /// Public probe with a caller-supplied hash and equality: returns the
-  /// matching row id or `kNoRowId`. The parallel Rule 2 probes one side's
-  /// rows against the other store this way, with batch-precomputed
-  /// hashes.
-  template <typename Eq>
-  uint32_t FindRowHashed(uint64_t hash, Eq eq) const {
-    return FindRow(hash, eq);
-  }
-  static constexpr uint32_t kNoRowId = ~uint32_t{0};
-
-  /// `Find` with the key's hash precomputed (`hash` must equal
-  /// `HashRange` over `key`): the cross-backend probe the parallel Rule 2
-  /// uses when the probed side is columnar.
-  const K* FindWithHash(uint64_t hash, const Tuple& key) const {
-    HIERARQ_CHECK_EQ(key.size(), arity());
-    const uint32_t row =
-        FindRow(hash, [&](uint32_t r) { return RowEquals(r, key); });
-    return row == kNoRow ? nullptr : &values_[row].value;
-  }
-
-  /// `FindOrInsert` with the key's hash precomputed (`hash` must equal
-  /// `HashRange` over `key`) — the per-shard insert path of
-  /// `ShardedColumnarStore`, whose callers route by an already-computed
-  /// hash and must not fold it a second time.
-  std::pair<K*, bool> FindOrInsertHashed(uint64_t hash, const Tuple& key) {
-    HIERARQ_CHECK_EQ(key.size(), arity());
-    auto [row, inserted] = FindOrInsertRow(
-        hash, [&](uint32_t r) { return RowEquals(r, key); },
-        [&] {
-          for (size_t c = 0; c < columns_.size(); ++c) {
-            columns_[c].push_back(key[c]);
-          }
-          values_.emplace_back();
-        });
-    return {&values_[row].value, inserted};
-  }
-
-  /// `Merge` with the key's hash precomputed (same contract as
-  /// `FindOrInsertHashed`).
-  template <typename Combine>
-  void MergeHashed(uint64_t hash, const Tuple& key, K value, Combine combine) {
-    auto [slot, inserted] = FindOrInsertHashed(hash, key);
-    if (inserted) {
-      *slot = std::move(value);
-    } else {
-      *slot = combine(*slot, value);
-    }
-  }
-
-  /// Batch per-row hashes over selected columns (`HashRange` over those
-  /// positions, vector kernels) into `*hashes` — the public face of the
-  /// internal fold, reused by the parallel Rule 1 partitioner.
-  void HashRowsInto(const std::vector<size_t>& cols,
-                    std::vector<uint64_t>* hashes) const {
-    ComputeRowHashes(cols, hashes);
-  }
-  void HashAllRowsInto(std::vector<uint64_t>* hashes) const {
-    ComputeAllRowHashes(hashes);
-  }
-
   /// Optional row reorder for cache-linear probing: sorts rows by the
   /// index slot their hash homes to (hash & index mask — the probe
   /// address prefix), so a row-order scan that probes an equally-sized

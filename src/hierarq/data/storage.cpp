@@ -8,8 +8,6 @@ const char* StorageKindName(StorageKind kind) {
       return "baseline";
     case StorageKind::kColumnar:
       return "columnar";
-    case StorageKind::kShardedColumnar:
-      return "sharded_columnar";
   }
   return "unknown";
 }

@@ -4,20 +4,15 @@
 /// \file storage.h
 /// \brief The storage-backend selector for `AnnotatedRelation`.
 ///
-/// Three layouts implement the relation interface
+/// Two layouts implement the relation interface
 /// (`Find`/`FindOrInsert`/`Merge`/`Reset`/`AssignFrom`):
 ///
 ///   * `kColumnar` — `ColumnarStore` (data/columnar.h): one value vector
 ///     per schema position plus a row-id hash index, so Rule 1
 ///     projections touch only the surviving columns. The default.
-///   * `kShardedColumnar` — `ShardedColumnarStore` (data/sharded.h): a
-///     power-of-two set of independent `ColumnarStore` shards routed by
-///     the top bits of the key hash, so intra-query parallel Rule 1/Rule 2
-///     steps (core/parallel.h) accumulate lock-free, one worker per shard.
-///     The only target parallel steps scatter into.
 ///   * `kBaseline` — `std::unordered_map<Tuple, K>`: the reference
-///     implementation the differential suites check the other two
-///     against; one heap node per fact, pointer-chasing probes.
+///     implementation the differential suites check columnar against;
+///     one heap node per fact, pointer-chasing probes.
 ///
 /// The backend is a runtime property of each relation (threaded as an
 /// engine option through `Evaluator`, `EvalService` and
@@ -27,24 +22,22 @@ namespace hierarq {
 
 /// Which layout an `AnnotatedRelation` stores its support in.
 enum class StorageKind : unsigned char {
-  kBaseline,         ///< std::unordered_map reference backend.
-  kColumnar,         ///< Column vectors + row-id hash index.
-  kShardedColumnar,  ///< Hash-sharded ColumnarStore shards.
+  kBaseline,  ///< std::unordered_map reference backend.
+  kColumnar,  ///< Column vectors + row-id hash index.
 };
 
 /// The backend relations default to.
 inline constexpr StorageKind kDefaultStorageKind = StorageKind::kColumnar;
 
-/// "baseline" / "columnar" / "sharded_columnar" — the per-step backend
+/// "baseline" / "columnar" — the per-step backend
 /// in EXPLAIN and trace output, and the per-row storage tag in
 /// BENCH_*.json.
 const char* StorageKindName(StorageKind kind);
 
 /// All backends, in enum order — the iteration axis of the cross-backend
 /// differential tests and the per-backend bench emitters.
-inline constexpr StorageKind kAllStorageKinds[] = {
-    StorageKind::kBaseline, StorageKind::kColumnar,
-    StorageKind::kShardedColumnar};
+inline constexpr StorageKind kAllStorageKinds[] = {StorageKind::kBaseline,
+                                                   StorageKind::kColumnar};
 
 }  // namespace hierarq
 

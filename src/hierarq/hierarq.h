@@ -24,7 +24,6 @@
 #include "hierarq/core/cancel.h"
 #include "hierarq/core/evaluator.h"
 #include "hierarq/core/expectation.h"
-#include "hierarq/core/parallel.h"
 #include "hierarq/core/pqe.h"
 #include "hierarq/core/provenance_pipeline.h"
 #include "hierarq/core/resilience.h"
@@ -33,7 +32,6 @@
 #include "hierarq/data/columnar.h"
 #include "hierarq/data/database.h"
 #include "hierarq/data/loader.h"
-#include "hierarq/data/sharded.h"
 #include "hierarq/data/storage.h"
 #include "hierarq/data/tid_database.h"
 #include "hierarq/engine/bruteforce.h"

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "hierarq/algebra/two_monoid.h"
-#include "hierarq/core/parallel.h"
 #include "hierarq/data/storage.h"
 #include "hierarq/incremental/delta.h"
 #include "hierarq/incremental/incremental_view.h"
@@ -51,11 +50,6 @@ class IncrementalEvaluator {
   struct Options {
     /// Storage backend of every materialized view relation.
     StorageKind storage = kDefaultStorageKind;
-    /// > 1 materializes views with intra-query shard parallelism
-    /// (core/parallel.h): Attach's full Algorithm 1 pass — and any future
-    /// resync rematerialization — runs its big folds across a pool this
-    /// evaluator owns. Delta application stays serial (per-key work).
-    size_t intra_query_threads = 1;
   };
 
   struct Stats {
@@ -87,11 +81,6 @@ class IncrementalEvaluator {
         annotator_(std::move(annotator)),
         options_(options) {
     HIERARQ_CHECK(database_ != nullptr);
-    if (options_.intra_query_threads > 1) {
-      pool_ = std::make_unique<WorkerPool>(options_.intra_query_threads);
-      par_.pool = pool_.get();
-      par_.threads = options_.intra_query_threads;
-    }
   }
 
   IncrementalEvaluator(const IncrementalEvaluator&) = delete;
@@ -109,8 +98,7 @@ class IncrementalEvaluator {
     HIERARQ_ASSIGN_OR_RETURN(EliminationPlan plan,
                              EliminationPlan::Build(query));
     auto view = std::make_unique<IncrementalView<M>>(
-        query, std::move(plan), monoid_, annotator_, options_.storage,
-        par_);
+        query, std::move(plan), monoid_, annotator_, options_.storage);
     view->Materialize(*database_);
     ++stats_.attaches;
     views_.push_back(std::move(view));
@@ -214,10 +202,6 @@ class IncrementalEvaluator {
   VersionedDatabase* database_;  // Non-owning.
   Annotator annotator_;
   Options options_;
-  /// Materialization pool (intra_query_threads > 1 only). Declared before
-  /// views_, which borrow it: views die first on destruction.
-  std::unique_ptr<WorkerPool> pool_;
-  IntraQueryParallel par_;
   // unique_ptr slots: handles are indices, detached views leave holes.
   std::vector<std::unique_ptr<IncrementalView<M>>> views_;
   Stats stats_;

@@ -49,7 +49,6 @@
 
 #include "hierarq/algebra/two_monoid.h"
 #include "hierarq/core/algorithm1.h"
-#include "hierarq/core/parallel.h"
 #include "hierarq/data/annotated.h"
 #include "hierarq/data/storage.h"
 #include "hierarq/incremental/delta.h"
@@ -123,19 +122,13 @@ class IncrementalView {
     uint64_t apply_ns = 0;       ///< Total wall time spent inside Apply.
   };
 
-  /// `par` (optional) lets Materialize run its big Rule 1/Rule 2 steps —
-  /// the same ⊕-folds the batch engine shards — in parallel
-  /// (core/parallel.h); the pool must outlive the view. Delta application
-  /// stays serial: per-key updates have nothing to fan out.
   IncrementalView(ConjunctiveQuery query, EliminationPlan plan, M monoid,
-                  Annotator annotator, StorageKind storage,
-                  IntraQueryParallel par = {})
+                  Annotator annotator, StorageKind storage)
       : query_(std::move(query)),
         plan_(std::move(plan)),
         monoid_(std::move(monoid)),
         annotator_(std::move(annotator)),
-        storage_(storage),
-        par_(par) {
+        storage_(storage) {
     relations_.resize(plan_.num_atoms());
     deltas_.resize(plan_.num_atoms());
     if constexpr (Traits::kPlusInvertible) {
@@ -197,12 +190,9 @@ class IncrementalView {
     }
     obs::Span materialize_span("view.materialize", "incremental");
     // The batch engine's step loop (core/algorithm1.h), so the two engines
-    // cannot drift in step coverage or parallel-vs-serial choice. A step
-    // sharded here then lives (and is delta-maintained) in the sharded
-    // backend, which supports the same per-key ops as the others; serial
-    // steps keep the view's configured backend.
-    RunEliminationSteps(plan_, monoid_, relations_, par_,
-                        /*keep_inputs=*/true);
+    // cannot drift in step coverage; every step keeps the view's
+    // configured backend.
+    RunEliminationSteps(plan_, monoid_, relations_, /*keep_inputs=*/true);
     // Each Rule 1 step's source is still materialized.
     for (size_t si = 0; si < plan_.steps().size(); ++si) {
       const EliminationStep& step = plan_.steps()[si];
@@ -514,9 +504,6 @@ class IncrementalView {
   M monoid_;
   Annotator annotator_;
   StorageKind storage_;
-  /// Parallel materialization config; disabled by default. The pool is
-  /// borrowed from the owning IncrementalEvaluator.
-  IntraQueryParallel par_;
 
   /// The view tree: one materialized relation per plan atom (base atoms
   /// in query order, then one per step result), never cleared.

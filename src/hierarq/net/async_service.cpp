@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "hierarq/algebra/bagmax_monoid.h"  // SatMulU64
 #include "hierarq/obs/trace.h"
 
 namespace hierarq::net {
@@ -40,8 +41,9 @@ Status AsyncEvalService::Submit(Job job, uint64_t deadline_ms) {
   if (budget_ms != 0) {
     // Armed NOW: queue wait burns deadline budget, so a request stuck
     // behind a backlog fails fast at its first checkpoint instead of
-    // evaluating long after the client gave up.
-    queued.token->ExpireAfter(budget_ms * 1'000'000ull);
+    // evaluating long after the client gave up. The budget is the
+    // client's u64, so the conversion saturates instead of wrapping.
+    queued.token->ExpireAfter(SatMulU64(budget_ms, 1'000'000));
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);

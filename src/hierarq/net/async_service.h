@@ -55,8 +55,10 @@ class AsyncEvalService {
     /// The wrapped evaluation service's configuration.
     EvalService::Options service;
     /// Threads driving blocking evaluations. Each occupies one queued
-    /// job at a time; the service's own worker pool parallelizes within
-    /// an evaluation, so a few submitters saturate it.
+    /// job at a time and waits while the service's worker pool runs it.
+    /// The pool fans out only across the runs inside one job (a
+    /// multi-query group, Shapley's |Dn|+1 runs); a single-query job
+    /// occupies one worker, so at most this many of them evaluate at once.
     size_t submit_threads = 2;
     /// Admission cap: jobs waiting (not yet picked up). Submit returns
     /// kResourceExhausted past it.

@@ -400,8 +400,8 @@ void HierarqServer::HandleQuery(
         // line), errors included — a query that burned its deadline is
         // exactly the one the operator wants to see.
         if (options_.slow_query_ms >= 0 &&
-            eval_ns >= static_cast<uint64_t>(options_.slow_query_ms) *
-                           1'000'000ull) {
+            eval_ns >= SatMulU64(static_cast<uint64_t>(options_.slow_query_ms),
+                                 1'000'000)) {
           std::string explain;
           if (Result<EliminationPlan> plan = EliminationPlan::Build(*query);
               plan.ok()) {

@@ -54,14 +54,13 @@ std::string StepDetails(const StepObservation* obs) {
   const TraceStepArgs& a = obs->args;
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "[backend=%s threads=%u rows %llu -> %llu time=%s simd=%s",
-                StorageKindName(a.backend), a.threads,
+                "[backend=%s rows %llu -> %llu time=%s simd=%s",
+                StorageKindName(a.backend),
                 static_cast<unsigned long long>(a.rows_in),
                 static_cast<unsigned long long>(a.rows_out),
                 FormatNs(static_cast<double>(obs->dur_ns)).c_str(),
                 simd::LevelName(a.simd));
   std::string out = buf;
-  out += a.parallel ? " parallel" : " serial";
   if (obs->runs > 1) {
     char runs[32];
     std::snprintf(runs, sizeof(runs), " x%zu runs, last shown", obs->runs);

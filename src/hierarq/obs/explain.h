@@ -9,9 +9,8 @@
 /// nullary atom at the root, each step's result atom a node over its
 /// input atoms, base atoms as leaves — with exactly one line per
 /// elimination step carrying what the trace observed: result backend,
-/// thread fan-out, rows in/out, wall time, SIMD tier, and whether the
-/// step ran serial or parallel. `hierarq_cli --explain` prints this
-/// after the command's normal output.
+/// rows in/out, wall time and SIMD tier. `hierarq_cli --explain` prints
+/// this after the command's normal output.
 ///
 /// The tree shape needs no search: plan atom ids are minted in step
 /// order, so atom `num_base_atoms() + i` is exactly step i's result and

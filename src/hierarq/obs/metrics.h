@@ -6,8 +6,8 @@
 /// histograms behind one `MetricsRegistry`.
 ///
 /// Every subsystem used to invent its own counters (`ServiceStats`
-/// atomics, `WorkerPool::parallel_for_calls`, per-view `Stats` structs);
-/// this registry is the one place they all land, so the CLI's
+/// atomics, per-view `Stats` structs); this registry is the one place
+/// they all land, so the CLI's
 /// `--metrics`, the tests, and the future server's `/metrics` endpoint
 /// read a single catalog. Design constraints, in order:
 ///

@@ -7,8 +7,8 @@
 /// The metrics registry answers "what has this process done"; a served
 /// client asks "what did *my* query cost". `QueryStats` is that answer:
 /// one plain struct of counters for a single evaluation — rows scanned
-/// and emitted per rule, how many elimination steps ran and how many of
-/// them went parallel, how often the cancellation gate was polled, how
+/// and emitted per rule, how many elimination steps ran, how often the
+/// cancellation gate was polled, how
 /// long the request waited in the admission queue versus executing, and
 /// whether the plan came out of a cache. The server attaches it to the
 /// result frame (net/wire.h, flag-gated so old clients never see it) and
@@ -47,7 +47,9 @@ struct QueryStats {
   uint64_t rule2_rows_scanned = 0;
   uint64_t rule2_rows_emitted = 0;
 
-  // Step mix: every elimination step is exactly one of serial/parallel.
+  // Step mix. This engine runs every step serially, so `steps_parallel`
+  // stays 0; it keeps its slot in the stats wire section, where older
+  // peers that ran intra-query parallel steps still report them.
   uint64_t steps_total = 0;
   uint64_t steps_serial = 0;
   uint64_t steps_parallel = 0;
@@ -69,8 +71,7 @@ struct QueryStats {
 
   /// One step's accounting; called by every runner behind its hoisted
   /// null check.
-  void RecordStep(uint8_t rule, uint64_t rows_in, uint64_t rows_out,
-                  bool parallel) {
+  void RecordStep(uint8_t rule, uint64_t rows_in, uint64_t rows_out) {
     if (rule == 1) {
       rule1_rows_scanned += rows_in;
       rule1_rows_emitted += rows_out;
@@ -79,11 +80,7 @@ struct QueryStats {
       rule2_rows_emitted += rows_out;
     }
     ++steps_total;
-    if (parallel) {
-      ++steps_parallel;
-    } else {
-      ++steps_serial;
-    }
+    ++steps_serial;
   }
 
   /// Adds `other`'s row, step and checkpoint counters — how a caller

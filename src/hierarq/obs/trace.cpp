@@ -138,11 +138,9 @@ void AppendStepArgsJson(const TraceStepArgs& step, std::string* out) {
   std::snprintf(
       buf, sizeof(buf),
       "{\"step\": %u, \"rule\": %u, \"backend\": \"%s\", \"simd\": \"%s\", "
-      "\"parallel\": %s, \"threads\": %u, "
       "\"rows_in\": %llu, \"rows_out\": %llu}",
       step.step_index, static_cast<unsigned>(step.rule),
       StorageKindName(step.backend), simd::LevelName(step.simd),
-      step.parallel ? "true" : "false", step.threads,
       static_cast<unsigned long long>(step.rows_in),
       static_cast<unsigned long long>(step.rows_out));
   *out += buf;

@@ -4,9 +4,9 @@
 /// \file trace.h
 /// \brief Low-overhead span tracing for the engine's per-step decisions.
 ///
-/// The step loop (core/algorithm1.h) decides a backend and a
-/// serial-or-parallel execution for every elimination step; this tracer
-/// is how those decisions become visible. The design is a classic
+/// The step loop (core/algorithm1.h) runs every elimination step on a
+/// storage backend and a SIMD tier; this tracer is how each step's
+/// choices and sizes become visible. The design is a classic
 /// in-memory flight recorder:
 ///
 ///   * **Install-to-enable.** There is one process-wide current tracer
@@ -49,16 +49,14 @@
 
 namespace hierarq::obs {
 
-/// Everything one elimination step reports: which rule ran where, how
-/// it ran (serial or sharded across threads), and how big it was.
+/// Everything one elimination step reports: which rule ran where and how
+/// big it was.
 struct TraceStepArgs {
   uint32_t step_index = 0;
   uint8_t rule = 1;  ///< 1 = ⊕-project (Rule 1), 2 = ⊗-merge (Rule 2).
   /// Result backend the step materialized into.
   StorageKind backend = kDefaultStorageKind;
   simd::Level simd = simd::Level::kScalar;  ///< Dispatched SIMD tier.
-  bool parallel = false;  ///< Took the sharded scatter vs the serial native.
-  uint32_t threads = 1;   ///< Fan-out width (1 when serial).
   uint64_t rows_in = 0;   ///< Input support (Rule 2: |left| + |right|).
   uint64_t rows_out = 0;  ///< Result support.
 };

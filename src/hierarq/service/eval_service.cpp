@@ -20,7 +20,6 @@ EvalService::EvalService() : EvalService(Options()) {}
 
 EvalService::EvalService(Options options)
     : storage_(options.storage),
-      intra_query_min_support_(options.intra_query_min_support),
       annotation_cache_max_entries_(options.annotation_cache_max_entries),
       pool_(ResolveWorkers(options.num_workers)) {
   // Resolve every metric handle once; the hot paths then pay one relaxed
@@ -39,8 +38,6 @@ EvalService::EvalService(Options options)
       registry_.GetCounter("service.annotation_cache_invalidations");
   annotation_cache_evictions_ =
       registry_.GetCounter("service.annotation_cache_evictions");
-  intra_parallel_replays_ =
-      registry_.GetCounter("service.intra_parallel_replays");
   deadline_exceeded_ = registry_.GetCounter("service.deadline_exceeded");
   group_size_hist_ = registry_.GetHistogram("service.group_size");
   queue_depth_gauge_ = registry_.GetGauge("service.queue_depth");
@@ -52,18 +49,6 @@ EvalService::EvalService(Options options)
   for (size_t i = 0; i < n; ++i) {
     worker_evaluators_.push_back(
         std::make_unique<Evaluator>(&plan_cache_, options.storage));
-  }
-  if (options.intra_query_threads > 1) {
-    // The intra evaluator borrows the service pool: one huge replay's
-    // shard tasks interleave with batch fan-out tasks instead of
-    // stalling behind them. It is only ever driven from client threads
-    // (EvaluateGroup), satisfying ParallelFor's outside-the-pool rule.
-    Evaluator::Options intra;
-    intra.storage = options.storage;
-    intra.intra_query_threads = options.intra_query_threads;
-    intra.parallel_min_rows = options.parallel_min_rows;
-    intra.intra_pool = &pool_;
-    intra_evaluator_ = std::make_unique<Evaluator>(intra, &plan_cache_);
   }
 }
 
@@ -82,7 +67,6 @@ ServiceStats EvalService::stats() const {
   out.annotation_cache_invalidations =
       annotation_cache_invalidations_->Value();
   out.annotation_cache_evictions = annotation_cache_evictions_->Value();
-  out.intra_parallel_replays = intra_parallel_replays_->Value();
   const SharedPlanCache::Stats plans = plan_cache_.stats();
   out.plans_built = plans.plans_built;
   out.plan_cache_hits = plans.cache_hits;

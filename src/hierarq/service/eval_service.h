@@ -32,13 +32,6 @@
 ///     (`AnnotatedRelation::AdoptFrom`) instead of copied — the copy is
 ///     the service's main single-query overhead versus a bare Evaluator.
 ///     Cached pools are never moved from (they outlive the group).
-///   * **Intra-query parallelism for single huge replays.** A group with
-///     one plannable query over a database past
-///     `Options.intra_query_min_support` cannot benefit from across-query
-///     fan-out; with `Options.intra_query_threads > 1` its replay instead
-///     runs hash-shard-parallel (core/parallel.h) on the same worker
-///     pool, so one big request scales with cores instead of occupying
-///     one worker while the rest idle.
 ///
 /// Thread model: `EvaluateBatch` / `EvaluateMany` may be called
 /// concurrently from any number of client threads (each call blocks until
@@ -139,7 +132,6 @@ struct ServiceStats {
   size_t annotation_cache_misses = 0;  ///< Named groups that had to scan.
   size_t annotation_cache_invalidations = 0;  ///< Stale pools replaced.
   size_t annotation_cache_evictions = 0;  ///< Pools LRU-evicted at capacity.
-  size_t intra_parallel_replays = 0;  ///< Replays run shard-parallel.
 };
 
 class EvalService {
@@ -150,18 +142,6 @@ class EvalService {
     /// Storage backend for the shared annotation pools and every worker's
     /// scratch relations (data/storage.h).
     StorageKind storage = kDefaultStorageKind;
-    /// > 1 routes a group that holds exactly ONE plannable query over a
-    /// big database through intra-query shard parallelism
-    /// (core/parallel.h) on the service's own pool, instead of queueing
-    /// the single replay behind the batch fan-out as one indivisible
-    /// task. 0 or 1 disables the route (the legacy behavior).
-    size_t intra_query_threads = 0;
-    /// Databases below this many facts never take the intra-query route —
-    /// per-step fan-out only pays for itself on large replays.
-    size_t intra_query_min_support = 65536;
-    /// Per-step serial cutoff forwarded to the intra evaluator
-    /// (Evaluator::Options::parallel_min_rows).
-    size_t parallel_min_rows = 4096;
     /// Upper bound on cached annotation pools (the generation-keyed
     /// cache); the least-recently-used entry is evicted past it, so
     /// long-running services over many databases stop growing without a
@@ -408,52 +388,25 @@ class EvalService {
     annotation_scans_->Add(scans);
     annotations_shared_->Add(shared);
 
-    // Replay phase. A group with exactly one plannable query over a big
-    // database has nothing to fan out across queries — route it through
-    // intra-query shard parallelism on the same pool (core/parallel.h)
-    // instead of running it as one indivisible task behind the batch
-    // queue. Everything else fans out across the workers as before.
-    // Shared pool entries are read-only from here on; each worker copies
-    // them into its own scratch (or adopts its exclusive singletons), so
+    // Replay phase: per-query replays fan out across the workers. Shared
+    // pool entries are read-only from here on; each worker copies them
+    // into its own scratch (or adopts its exclusive singletons), so
     // replays never contend.
     std::vector<std::optional<K>> values(n);
-    if (intra_evaluator_ != nullptr && planned.size() == 1 &&
-        request.database->NumFacts() >= intra_query_min_support_) {
-      const size_t slot = planned.front();
-      // One intra evaluator (its scratch is identity); concurrent
-      // singleton groups serialize here while their shard tasks still
-      // interleave with other batches on the shared pool. This runs on
-      // the client's thread — never inside a pool task — so ParallelFor
-      // fan-out from it is safe.
-      std::lock_guard<std::mutex> lock(intra_mutex_);
+    pool_.ParallelFor(planned.size(), [&](size_t worker, size_t j) {
+      const size_t slot = planned[j];
+      // CancelledError must never escape a pool task (worker_pool.h:
+      // tasks must not throw); it is absorbed here and surfaced as a
+      // per-slot status at assembly.
       try {
         ScopedCancel watch(request.cancel);
-        obs::ScopedQueryStats accounting(
-            slot == 0 ? request.stats : nullptr);
-        values[slot] = intra_evaluator_->ReplayPlan(
+        obs::ScopedQueryStats accounting(slot == 0 ? request.stats : nullptr);
+        values[slot] = worker_evaluator(worker).ReplayPlan(
             **plans[slot], monoid, *request.queries[slot],
-            sources.per_query.front());
+            sources.per_query[j]);
       } catch (const CancelledError&) {
-        // Slot stays empty; reported as kDeadlineExceeded below.
       }
-      intra_parallel_replays_->Add();
-    } else {
-      pool_.ParallelFor(planned.size(), [&](size_t worker, size_t j) {
-        const size_t slot = planned[j];
-        // CancelledError must never escape a pool task (worker_pool.h:
-        // tasks must not throw); it is absorbed here and surfaced as a
-        // per-slot status at assembly.
-        try {
-          ScopedCancel watch(request.cancel);
-          obs::ScopedQueryStats accounting(
-              slot == 0 ? request.stats : nullptr);
-          values[slot] = worker_evaluator(worker).ReplayPlan(
-              **plans[slot], monoid, *request.queries[slot],
-              sources.per_query[j]);
-        } catch (const CancelledError&) {
-        }
-      });
-    }
+    });
 
     BatchResult<K> out;
     out.values.reserve(n);
@@ -511,12 +464,6 @@ class EvalService {
   SharedPlanCache plan_cache_;
   StorageKind storage_ = kDefaultStorageKind;
   std::vector<std::unique_ptr<Evaluator>> worker_evaluators_;
-  /// The single-huge-replay evaluator: shard-parallel on `pool_`, used
-  /// under `intra_mutex_` from client threads only. Null when
-  /// Options.intra_query_threads <= 1.
-  std::unique_ptr<Evaluator> intra_evaluator_;
-  std::mutex intra_mutex_;
-  size_t intra_query_min_support_ = 0;
   size_t annotation_cache_max_entries_ = 0;
   mutable std::mutex annotation_cache_mutex_;
   std::unordered_map<AnnotationCacheKey, AnnotationCacheEntry,
@@ -539,7 +486,6 @@ class EvalService {
   obs::Counter* annotation_cache_misses_ = nullptr;
   obs::Counter* annotation_cache_invalidations_ = nullptr;
   obs::Counter* annotation_cache_evictions_ = nullptr;
-  obs::Counter* intra_parallel_replays_ = nullptr;
   obs::Counter* deadline_exceeded_ = nullptr;  ///< Queries cut off mid-replay.
   obs::Histogram* group_size_hist_ = nullptr;  ///< Queries per group.
   obs::Gauge* queue_depth_gauge_ = nullptr;  ///< Pool queue at group entry.

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace hierarq {
@@ -115,6 +116,11 @@ Result<double> ParseDouble(std::string_view s) {
   }
   if (end != buf.c_str() + buf.size()) {
     return Status::ParseError("invalid float literal: " + buf);
+  }
+  // strtod accepts "nan" and "inf"; no weight or probability may be
+  // either, and a NaN would pass every later clamp unchanged.
+  if (!std::isfinite(value)) {
+    return Status::ParseError("non-finite float literal: " + buf);
   }
   return value;
 }

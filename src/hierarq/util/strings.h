@@ -35,7 +35,8 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// must be consumed.
 Result<int64_t> ParseInt64(std::string_view s);
 
-/// Parses a floating-point number; the whole string must be consumed.
+/// Parses a finite floating-point number; the whole string must be
+/// consumed. "nan", "inf" and their spellings are rejected.
 Result<double> ParseDouble(std::string_view s);
 
 /// True iff `s` is a valid identifier: [A-Za-z_][A-Za-z0-9_']*.

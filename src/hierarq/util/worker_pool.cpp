@@ -11,8 +11,7 @@ namespace hierarq {
 
 namespace {
 
-// Global pool metrics, summed across every WorkerPool in the process
-// (service fan-out pools and evaluator-owned intra-query pools alike).
+// Global pool metrics, summed across every WorkerPool in the process.
 // Resolved once into statics so the per-task cost is one relaxed add.
 obs::Counter* TasksExecutedCounter() {
   static obs::Counter* const counter =
@@ -75,7 +74,6 @@ void WorkerPool::WorkerLoop(size_t index) {
     }
     QueueDepthGauge()->Add(-1);
     task(index);
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     TasksExecutedCounter()->Add();
   }
 }
@@ -85,7 +83,6 @@ void WorkerPool::ParallelFor(
   if (n == 0) {
     return;
   }
-  parallel_for_calls_.fetch_add(1, std::memory_order_relaxed);
   LatchWaitsCounter()->Add();
   // The latch synchronizes the workers' writes (results stored by `fn`)
   // with the caller's reads after wait() returns.

@@ -4,10 +4,9 @@
 /// \file worker_pool.h
 /// \brief A fixed-size worker pool over an MPMC task queue.
 ///
-/// The engine's execution substrate, shared by the service layer's
-/// across-query fan-out (service/eval_service.h) and the execution core's
-/// intra-query shard parallelism (core/parallel.h): a fixed set of
-/// `std::jthread` workers drains one multi-producer/multi-consumer queue
+/// The engine's execution substrate for across-query fan-out — the
+/// service layer's batch groups (service/eval_service.h) and Shapley's
+/// independent Algorithm 1 runs: a fixed set of `std::jthread` workers drains one multi-producer/multi-consumer queue
 /// (any client thread submits; any worker picks up). Tasks receive the
 /// index of the worker running them — that index is how the service hands
 /// each task a *worker-owned* `Evaluator` (shared plan cache, private
@@ -20,7 +19,6 @@
 /// must not throw: the codebase reports errors through Status/Result, and
 /// an exception escaping a task would terminate via the jthread.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -61,19 +59,6 @@ class WorkerPool {
                    const std::function<void(size_t worker_index,
                                             size_t index)>& fn);
 
-  /// How many ParallelFor barriers this pool has run so far. Each call is
-  /// one submit-all-then-latch round trip, so the counter measures the
-  /// per-step synchronization cost the fused Rule 1/Rule 2 phases exist
-  /// to shrink (tests assert a fused parallel step takes exactly one).
-  size_t parallel_for_calls() const {
-    return parallel_for_calls_.load(std::memory_order_relaxed);
-  }
-
-  /// Total tasks workers have completed.
-  size_t tasks_executed() const {
-    return tasks_executed_.load(std::memory_order_relaxed);
-  }
-
   /// Tasks currently waiting in the queue (not the one each worker may be
   /// running). A snapshot — the admission-control signal the future
   /// server's queue-depth limits will read.
@@ -88,8 +73,6 @@ class WorkerPool {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Task> queue_;
-  std::atomic<size_t> parallel_for_calls_{0};
-  std::atomic<size_t> tasks_executed_{0};
   bool stopping_ = false;
   std::vector<std::jthread> workers_;  // Last member: destroyed (joined) first.
 };

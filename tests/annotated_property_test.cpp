@@ -10,7 +10,7 @@
 //     through schemas and backends behaves like a fresh one (the class of
 //     bug the PR 2 scratch-resize fix addressed).
 //
-// All properties quantify over the three backends and over random data
+// All properties quantify over both backends and over random data
 // from seeded Rngs, so failures reproduce from the seed printed by gtest.
 
 #include <gtest/gtest.h>

@@ -167,6 +167,16 @@ TEST(Loader, ProbabilityAnnotationOnlyInTid) {
   EXPECT_DOUBLE_EQ(tid->Probability(Fact{"R", MakeTuple({2})}), 1.0);
 }
 
+TEST(Loader, NonFiniteProbabilityIsALineError) {
+  for (const char* weight : {"nan", "inf", "-inf"}) {
+    auto tid = LoadTidDatabase(std::string("R(1,1) @ 0.5\nR(1,2) @ ") + weight,
+                               nullptr);
+    ASSERT_FALSE(tid.ok()) << weight;
+    EXPECT_NE(tid.status().message().find("line 2"), std::string::npos)
+        << tid.status();
+  }
+}
+
 TEST(Loader, ErrorsCarryLineNumbers) {
   auto db = LoadDatabase("R(1)\nnot a fact\n", nullptr);
   ASSERT_FALSE(db.ok());

@@ -3,11 +3,15 @@
 // hand-checked view maintenance, and the randomized delta-vs-scratch
 // differential harness — ≥200 seeded insert/delete/re-weight sequences
 // driven through IncrementalEvaluator and cross-checked against a
-// from-scratch Evaluator on all three StorageKinds and six monoids
-// (exact monoids bit-identical, floating monoids to 1e-11 relative).
+// from-scratch Evaluator on both StorageKinds and six monoids (exact
+// monoids bit-identical, floating monoids to 1e-11 relative), and
+// materialization taking exactly the batch engine's steps (one shared
+// step loop).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -527,6 +531,85 @@ TEST(IncrementalDifferentialTest, ZeroAnnotationsKeepSupportParity) {
           return weight < 0.3 ? 0.0 : weight;
         },
         config, kFloatTolerance);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One step loop, two engines.
+
+// What one traced step did, minus its timing.
+struct StepRecord {
+  uint8_t rule = 0;
+  StorageKind backend = kDefaultStorageKind;
+  uint64_t rows_in = 0;
+  uint64_t rows_out = 0;
+
+  bool operator==(const StepRecord&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const StepRecord& r) {
+  return os << "{rule " << static_cast<int>(r.rule) << ", "
+            << StorageKindName(r.backend) << ", " << r.rows_in << " -> "
+            << r.rows_out << "}";
+}
+
+std::vector<StepRecord> StepRecords(const obs::Tracer& tracer) {
+  std::vector<obs::TraceEvent> steps;
+  for (const obs::TraceEvent& event : tracer.Snapshot()) {
+    if (event.kind == obs::TraceEvent::Kind::kStep) {
+      steps.push_back(event);
+    }
+  }
+  std::stable_sort(steps.begin(), steps.end(),
+                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+                     return a.step.step_index < b.step.step_index;
+                   });
+  std::vector<StepRecord> out;
+  for (const obs::TraceEvent& event : steps) {
+    out.push_back(StepRecord{event.step.rule, event.step.backend,
+                             event.step.rows_in, event.step.rows_out});
+  }
+  return out;
+}
+
+// Incremental-view materialization and batch evaluation run the same step
+// loop (`RunEliminationSteps`), so on one instance, both on the calling
+// thread, they must take the same steps in the same backend over the same
+// row counts and reach the same result.
+TEST(SharedStepLoop, MaterializeAndEvaluateTakeTheSameSteps) {
+  const ConjunctiveQuery q = MakePaperQuery();
+  Rng rng(0x5e9ULL);
+  DataGenOptions dopts;
+  dopts.tuples_per_relation = 5000;
+  dopts.domain_size = 50;
+  const Database base = RandomDatabaseForQuery(q, rng, dopts);
+
+  VersionedDatabase db(base);
+  IncrementalEvaluator<CountMonoid> incremental(
+      CountMonoid{}, &db, [](const Fact&, double) -> uint64_t { return 1; });
+  obs::Tracer view_tracer;
+  view_tracer.Install();
+  auto handle = incremental.Attach(q);
+  view_tracer.Uninstall();
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+
+  Evaluator evaluator;
+  obs::Tracer batch_tracer;
+  batch_tracer.Install();
+  auto result = evaluator.Evaluate<CountMonoid>(
+      q, CountMonoid{}, base, [](const Fact&) -> uint64_t { return 1; });
+  batch_tracer.Uninstall();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(incremental.ResultOf(*handle), *result);
+
+  const std::vector<StepRecord> view_steps = StepRecords(view_tracer);
+  const std::vector<StepRecord> batch_steps = StepRecords(batch_tracer);
+  const auto plan = EliminationPlan::Build(q);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(batch_steps.size(), plan->steps().size());
+  EXPECT_EQ(view_steps, batch_steps);
+  for (const StepRecord& step : batch_steps) {
+    EXPECT_EQ(step.backend, kDefaultStorageKind) << step;
   }
 }
 

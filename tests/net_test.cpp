@@ -15,9 +15,12 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <future>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -34,6 +37,7 @@
 #include "hierarq/net/server.h"
 #include "hierarq/net/wire.h"
 #include "hierarq/obs/metrics.h"
+#include "hierarq/obs/trace.h"
 #include "hierarq/query/parser.h"
 #include "hierarq/util/random.h"
 #include "hierarq/workload/data_gen.h"
@@ -540,6 +544,24 @@ TEST(DeltaText, IntraLineArityConflictRejectsTheWholeLine) {
   EXPECT_EQ(db.NumFacts(), 1u);
 }
 
+TEST(DeltaText, NonFiniteWeightsRejectTheWholeLine) {
+  Dictionary dict;
+  auto base = LoadDatabase("R(1,2)\n", &dict);
+  ASSERT_TRUE(base.ok());
+  VersionedDatabase db(std::move(base).ValueOrDie());
+  for (const char* weight : {"nan", "inf", "-inf"}) {
+    for (const std::string& line :
+         {std::string("+R(2,2)@") + weight,
+          std::string("+R(3,3); !R(1,2)@") + weight}) {
+      auto batch = ParseDeltaLine(line, &dict, db);
+      ASSERT_FALSE(batch.ok()) << line;
+      EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument) << line;
+    }
+  }
+  EXPECT_EQ(db.generation(), 0u) << "nothing may be applied";
+  EXPECT_EQ(db.NumFacts(), 1u);
+}
+
 TEST(DeltaText, SchemaArityStillWinsOverOpArity) {
   Dictionary dict;
   auto base = LoadDatabase("R(1,2)\n", &dict);
@@ -585,6 +607,29 @@ TEST(AsyncEvalService, QueueFullRejectsInsteadOfQueueing) {
   cv.notify_all();
   async.Shutdown();
   EXPECT_EQ(ran, 2) << "accepted jobs must run; rejected ones must not";
+}
+
+TEST(AsyncEvalService, UnrepresentableDeadlineNeverFires) {
+  // deadline_ms is a client-chosen u64: converting it to nanoseconds and
+  // adding it to the clock must saturate, not wrap into the past. The
+  // clock counts from its first read; past one millisecond, a wrapped
+  // UINT64_MAX ms (2^64 - 10^6 ns) plus the clock lands behind it.
+  const uint64_t start_ns = obs::Tracer::NowNs();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_GT(obs::Tracer::NowNs(), start_ns + 1'000'000u);
+  AsyncEvalService async(AsyncEvalService::Options{});
+  std::promise<std::pair<bool, uint64_t>> seen;  // (expired, deadline_ns)
+  ASSERT_TRUE(async
+                  .Submit(
+                      [&](EvalService&, const CancelToken& cancel) {
+                        seen.set_value({cancel.Expired(),
+                                        cancel.deadline_ns()});
+                      },
+                      std::numeric_limits<uint64_t>::max())
+                  .ok());
+  const auto [expired, deadline_ns] = seen.get_future().get();
+  EXPECT_FALSE(expired);
+  EXPECT_EQ(deadline_ns, std::numeric_limits<uint64_t>::max());
 }
 
 TEST(AsyncEvalService, ShutdownCancelsQueuedJobsButStillRunsThem) {
@@ -801,6 +846,35 @@ TEST(Server, DeltaBatchesApplyAtomicallyOverTheWire) {
   auto grown = client.Query(SolverKind::kCount, kSmallQuery);
   ASSERT_TRUE(grown.ok());
   EXPECT_EQ(grown->count, before->count + 1);
+}
+
+TEST(Server, NonFiniteDeltaWeightIsRejectedBeforeApply) {
+  TestServer fixture(kSmallDb);
+  HierarqClient client = fixture.Connect();
+  auto before = client.Query(SolverKind::kPqe, kSmallQuery);
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  for (const char* line : {"+R(2,2)@nan", "+R(3,7)@inf; +S(3,9)"}) {
+    auto bad = client.ApplyDelta(line);
+    ASSERT_FALSE(bad.ok()) << line;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+        << bad.status();
+  }
+  EXPECT_EQ(fixture.server->database().generation(), 0u);
+
+  auto after = client.Query(SolverKind::kPqe, kSmallQuery);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_TRUE(std::isfinite(after->number)) << after->number;
+  EXPECT_EQ(after->number, before->number);
+}
+
+TEST(Server, UnrepresentableDeadlineIsAnswered) {
+  TestServer fixture(kSmallDb);
+  HierarqClient client = fixture.Connect();
+  auto result = client.Query(SolverKind::kCount, kSmallQuery,
+                             std::numeric_limits<uint64_t>::max());
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->count, 3u);
 }
 
 TEST(Server, DeadlineExceededLeavesDatabaseUntouched) {

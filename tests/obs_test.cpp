@@ -286,8 +286,8 @@ TEST(Tracer, StepEventsCarryTheDecision) {
   obs::TraceStepArgs args;
   args.step_index = 3;
   args.rule = 2;
-  args.parallel = true;
-  args.threads = 4;
+  args.backend = StorageKind::kBaseline;
+  args.simd = simd::Level::kScalar;
   args.rows_in = 100;
   args.rows_out = 60;
   tracer.EmitStep(t0, obs::Tracer::NowNs(), args);
@@ -298,17 +298,21 @@ TEST(Tracer, StepEventsCarryTheDecision) {
   EXPECT_STREQ(events[0].name, "rule2_merge");
   EXPECT_EQ(events[0].step.step_index, 3u);
   EXPECT_EQ(events[0].step.rule, 2u);
-  EXPECT_TRUE(events[0].step.parallel);
-  EXPECT_EQ(events[0].step.threads, 4u);
+  EXPECT_EQ(events[0].step.backend, StorageKind::kBaseline);
+  EXPECT_EQ(events[0].step.simd, simd::Level::kScalar);
   EXPECT_EQ(events[0].step.rows_in, 100u);
   EXPECT_EQ(events[0].step.rows_out, 60u);
 
   // The Chrome export carries the same decision and nothing else.
   std::ostringstream json;
   tracer.WriteChromeTrace(json);
-  EXPECT_NE(json.str().find("\"parallel\": true, \"threads\": 4"),
+  EXPECT_NE(json.str().find("{\"step\": 3, \"rule\": 2, \"backend\": "
+                            "\"baseline\", \"simd\": \"scalar\", "
+                            "\"rows_in\": 100, \"rows_out\": 60}"),
             std::string::npos)
       << json.str();
+  EXPECT_EQ(json.str().find("\"parallel\""), std::string::npos) << json.str();
+  EXPECT_EQ(json.str().find("\"threads\""), std::string::npos) << json.str();
   EXPECT_EQ(json.str().find("predicted"), std::string::npos) << json.str();
 }
 
@@ -345,9 +349,13 @@ TEST(Explain, NamesEveryPlanStepExactlyOnce) {
   }
   EXPECT_EQ(CountOccurrences(text, "[not executed]"), 0u) << text;
   EXPECT_EQ(CountOccurrences(text, "rows"), plan->steps().size()) << text;
-  // A serial evaluator: every step line ends in its execution mode.
-  EXPECT_EQ(CountOccurrences(text, " serial]"), plan->steps().size())
+  // Every step line names the backend it ran on, and no line carries the
+  // thread-count or execution-mode fields of the deleted parallel path.
+  EXPECT_EQ(CountOccurrences(text, "[backend=columnar "),
+            plan->steps().size())
       << text;
+  EXPECT_EQ(CountOccurrences(text, "threads="), 0u) << text;
+  EXPECT_EQ(CountOccurrences(text, "parallel"), 0u) << text;
 }
 
 TEST(Explain, UnexecutedPlanRendersEveryStepAsNotRun) {
@@ -443,8 +451,8 @@ TEST(QueryStats, RenderAndScopedCollection) {
   {
     obs::ScopedQueryStats scope(&stats);
     ASSERT_EQ(obs::CurrentQueryStats(), &stats);
-    obs::CurrentQueryStats()->RecordStep(1, 10, 4, false);
-    obs::CurrentQueryStats()->RecordStep(2, 8, 2, true);
+    obs::CurrentQueryStats()->RecordStep(1, 10, 4);
+    obs::CurrentQueryStats()->RecordStep(2, 8, 2);
   }
   EXPECT_EQ(obs::CurrentQueryStats(), nullptr) << "scope must uninstall";
   EXPECT_EQ(stats.rule1_rows_scanned, 10u);
@@ -452,8 +460,8 @@ TEST(QueryStats, RenderAndScopedCollection) {
   EXPECT_EQ(stats.rule2_rows_scanned, 8u);
   EXPECT_EQ(stats.rule2_rows_emitted, 2u);
   EXPECT_EQ(stats.steps_total, 2u);
-  EXPECT_EQ(stats.steps_serial, 1u);
-  EXPECT_EQ(stats.steps_parallel, 1u);
+  EXPECT_EQ(stats.steps_serial, 2u);
+  EXPECT_EQ(stats.steps_parallel, 0u);
   const std::string line = stats.Render();
   EXPECT_NE(line.find("rule1_rows_scanned=10"), std::string::npos) << line;
   EXPECT_NE(line.find("plan_cache_hit=false"), std::string::npos) << line;

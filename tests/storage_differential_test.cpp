@@ -1,7 +1,6 @@
-// Cross-backend differential harness: every storage backend behind
-// `AnnotatedRelation` (baseline std::unordered_map, columnar, sharded
-// columnar) must produce the same answers for every solver on the same
-// instance.
+// Cross-backend differential harness: both storage backends behind
+// `AnnotatedRelation` (baseline std::unordered_map and columnar) must
+// produce the same answers for every solver on the same instance.
 //
 // The harness drives the workload generators (random hierarchical queries
 // + random databases, fully seeded) through every backend for

@@ -63,6 +63,21 @@ TEST(Strings, ParseDouble) {
   EXPECT_FALSE(ParseDouble("0.5p").ok());
 }
 
+TEST(Strings, ParseDoubleRejectsNonFiniteLiterals) {
+  // strtod spells NaN and infinity several ways; none is a weight.
+  for (const char* text : {"nan", "NaN", "-nan", "nan(0x1)", "inf", "-inf",
+                           "+INF", "infinity", " inf "}) {
+    const Result<double> parsed = ParseDouble(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << text;
+  }
+  // Overflow to infinity was already an error; the finite extremes parse.
+  EXPECT_FALSE(ParseDouble("1e999").ok());
+  EXPECT_DOUBLE_EQ(*ParseDouble("1.7976931348623157e308"),
+                   1.7976931348623157e308);
+  EXPECT_DOUBLE_EQ(*ParseDouble("-0"), 0.0);
+}
+
 TEST(Strings, IsIdentifier) {
   EXPECT_TRUE(IsIdentifier("R"));
   EXPECT_TRUE(IsIdentifier("R1"));

@@ -4,21 +4,14 @@
 // files in the text format of hierarq/data/loader.h.
 //
 // Every Algorithm 1 run stores its supports in the columnar layout
-// (data/columnar.h); parallel steps scatter into columnar shards.
-//
-// A global `--threads=N` flag (N >= 1) sets intra-query parallelism:
-// single-query commands and update-mode view materialization fan each
-// big Rule 1/Rule 2 step out over N threads (core/parallel.h), and batch
-// mode additionally routes single-huge-replay groups through the same
-// machinery. `--threads=1` (the default) is the bit-identical serial
-// path. Batch mode's trailing [workers] argument still sizes the
-// across-query worker pool independently.
+// (data/columnar.h) and runs each elimination step serially. Batch
+// mode's trailing [workers] argument sizes the across-query worker pool.
 //
 // Observability (obs/): `--explain` prints an EXPLAIN ANALYZE tree after
 // the run — the elimination plan annotated with each step's backend,
-// thread count, rows in/out, wall time, SIMD tier, and whether it ran
-// serial or parallel. `--trace=FILE` records the same per-step spans and
-// writes Chrome trace-event JSON for chrome://tracing / Perfetto.
+// rows in/out, wall time and SIMD tier. `--trace=FILE` records the same
+// per-step spans and writes Chrome trace-event JSON for chrome://tracing
+// / Perfetto.
 // `--metrics` dumps the metrics registry to stderr on exit.
 //
 //   hierarq_cli classify   <query>
@@ -87,7 +80,7 @@ namespace hierarq {
 namespace {
 
 /// Observability flags (--explain / --trace=FILE / --metrics), peeled off
-/// the command line alongside --threads.
+/// the command line wherever they appear.
 struct ObsOptions {
   bool explain = false;     ///< Print EXPLAIN ANALYZE after the run.
   std::string trace_path;   ///< Chrome trace-event JSON output, if set.
@@ -106,7 +99,7 @@ struct ClientOptions {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: hierarq_cli [--threads=N] "
+               "usage: hierarq_cli [options] "
                "<command> <query> [files...]\n"
                "commands:\n"
                "  classify   <query>\n"
@@ -146,11 +139,9 @@ int Usage() {
                "  client <host:port> ping\n"
                "  client <host:port> shutdown\n"
                "options:\n"
-               "  --threads=N   intra-query parallelism (default 1 = "
-               "serial; N>1 shards big Rule 1/2 steps across N threads)\n"
                "  --explain     print EXPLAIN ANALYZE after the run: the "
-               "plan tree with per-step backend/threads/rows/time and the "
-               "serial/parallel execution; not available in batch mode\n"
+               "plan tree with per-step backend/rows/time/SIMD tier; not "
+               "available in batch mode\n"
                "  --trace=FILE  record per-step spans and write Chrome "
                "trace-event JSON to FILE (load in chrome://tracing or "
                "Perfetto)\n"
@@ -233,7 +224,7 @@ void PrintServiceStats(const EvalService& service, size_t num_workers) {
 }
 
 /// `hierarq_cli batch <solver> <queries-file> <dbs...> [workers]`.
-int RunBatch(int argc, char** argv, size_t threads, const ObsOptions& obs) {
+int RunBatch(int argc, char** argv, const ObsOptions& obs) {
   if (argc < 5) {
     return Usage();
   }
@@ -271,7 +262,6 @@ int RunBatch(int argc, char** argv, size_t threads, const ObsOptions& obs) {
   Dictionary dict;
   EvalService::Options service_options;
   service_options.num_workers = workers;
-  service_options.intra_query_threads = threads;
   EvalService service(service_options);
 
   // Renders one result line per query; errors are reported inline so one
@@ -367,11 +357,9 @@ int RunBatch(int argc, char** argv, size_t threads, const ObsOptions& obs) {
 template <TwoMonoid M, typename Render>
 int RunUpdateLoop(const ConjunctiveQuery& query, VersionedDatabase db,
                   M monoid, typename IncrementalView<M>::Annotator annotator,
-                  size_t threads, const ObsOptions& obs, Dictionary* dict,
-                  Render render) {
+                  const ObsOptions& obs, Dictionary* dict, Render render) {
   IncrementalEvaluator<M> evaluator(std::move(monoid), &db,
-                                    std::move(annotator),
-                                    {kDefaultStorageKind, threads});
+                                    std::move(annotator));
   auto handle = evaluator.Attach(query);
   if (!handle.ok()) {
     return Fail(handle.status());
@@ -820,7 +808,7 @@ int RunClient(int argc, char** argv, const ClientOptions& options) {
 }
 
 /// `hierarq_cli update <solver> <query> <db>`.
-int RunUpdate(int argc, char** argv, size_t threads, const ObsOptions& obs) {
+int RunUpdate(int argc, char** argv, const ObsOptions& obs) {
   if (argc != 5) {
     return Usage();
   }
@@ -846,8 +834,8 @@ int RunUpdate(int argc, char** argv, size_t threads, const ObsOptions& obs) {
     }
     return RunUpdateLoop(
         query, VersionedDatabase(*std::move(db)), CountMonoid{},
-        [](const Fact&, double) -> uint64_t { return 1; }, threads, obs,
-        &dict, [](uint64_t value) {
+        [](const Fact&, double) -> uint64_t { return 1; }, obs, &dict,
+        [](uint64_t value) {
           return "Q(D) = " + std::to_string(value);
         });
   }
@@ -870,11 +858,10 @@ int RunUpdate(int argc, char** argv, size_t threads, const ObsOptions& obs) {
   };
   if (solver == "pqe") {
     return RunUpdateLoop(query, VersionedDatabase(*db), ProbMonoid{},
-                         weight_annotator, threads, obs, &dict,
-                         render_double);
+                         weight_annotator, obs, &dict, render_double);
   }
   return RunUpdateLoop(query, VersionedDatabase(*db), ExpectationMonoid{},
-                       weight_annotator, threads, obs, &dict, render_double);
+                       weight_annotator, obs, &dict, render_double);
 }
 
 /// `snapshot <db> <dir>`: load a database file and commit it as a
@@ -936,27 +923,14 @@ int RunRecover(int argc, char** argv) {
 
 int Run(int argc, char** argv) {
   // Peel the global flags off wherever they appear, leaving the
-  // positional arguments in place. Bad thread counts and unknown --flags
-  // are errors, not silent fallbacks to defaults.
-  size_t threads = 1;
+  // positional arguments in place. Bad values and unknown --flags are
+  // errors, not silent fallbacks to defaults.
   ObsOptions obs;
   ClientOptions client_options;
   std::vector<char*> args;
   args.reserve(static_cast<size_t>(argc));
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg(argv[i]);
-    if (arg.rfind("--threads=", 0) == 0) {
-      const auto parsed_threads = ParseInt64(arg.substr(10));
-      if (!parsed_threads.ok() || *parsed_threads < 1) {
-        std::fprintf(stderr,
-                     "error: bad thread count in '%s' (expected an "
-                     "integer >= 1)\n",
-                     argv[i]);
-        return Usage();
-      }
-      threads = static_cast<size_t>(*parsed_threads);
-      continue;
-    }
     if (arg == "--explain") {
       obs.explain = true;
       continue;
@@ -1048,10 +1022,10 @@ int Run(int argc, char** argv) {
   };
 
   if (command == "batch") {
-    return finish(RunBatch(argc, argv, threads, obs));
+    return finish(RunBatch(argc, argv, obs));
   }
   if (command == "update") {
-    return finish(RunUpdate(argc, argv, threads, obs));
+    return finish(RunUpdate(argc, argv, obs));
   }
   if (command == "client") {
     return finish(RunClient(argc, argv, client_options));
@@ -1073,11 +1047,8 @@ int Run(int argc, char** argv) {
   const int rc = [&]() -> int {
   // One evaluator for the whole invocation: any command that runs
   // Algorithm 1 more than once (shapley above all) shares its cached plan
-  // and relation buffers. --threads applies to every Algorithm 1 run it
-  // performs.
-  Evaluator::Options evaluator_options;
-  evaluator_options.intra_query_threads = threads;
-  Evaluator evaluator(evaluator_options);
+  // and relation buffers.
+  Evaluator evaluator;
 
   auto load = [&dict](const char* path) {
     return LoadDatabaseFromFile(path, &dict);
@@ -1119,7 +1090,7 @@ int Run(int argc, char** argv) {
     std::printf("Q(D) = %llu  (join engine)\n",
                 static_cast<unsigned long long>(BagSetCount(query, *db)));
     // The shared evaluator (not BagSetCountHierarchical) so the fast
-    // path honors --threads and shows up under --explain;
+    // path shows up under --explain;
     // both are Algorithm 1 in the counting semiring with annotation 1.
     auto fast = evaluator.Evaluate<CountMonoid>(
         query, CountMonoid{}, *db, [](const Fact&) -> uint64_t { return 1; });

@@ -29,7 +29,6 @@
 //   --submitters=N     async submitter threads (default 2)
 //   --queue-limit=N    admission queue depth (default 64; full = reject)
 //   --deadline-ms=N    default per-request deadline (0 = unbounded)
-//   --threads=N        intra-query parallelism for single huge replays
 //   --slow-query-ms=N  log any query at or over N ms of evaluation wall
 //                      time (query text, QueryStats, EXPLAIN ANALYZE);
 //                      0 logs every query, unset disables the log
@@ -70,7 +69,7 @@ int Usage() {
       "                      [--max-connections=N]\n"
       "                      [--workers=N] [--submitters=N] "
       "[--queue-limit=N]\n"
-      "                      [--deadline-ms=N] [--threads=N]\n"
+      "                      [--deadline-ms=N]\n"
       "                      [--slow-query-ms=N] [--log-json]\n");
   return 2;
 }
@@ -97,7 +96,6 @@ int Run(int argc, char** argv) {
   uint64_t snapshot_every = 256;
   bool tid = false;
   net::HierarqServer::Options options;
-  size_t threads = 1;
   bool log_json = false;
 
   const auto parse_count = [](std::string_view text, int64_t min,
@@ -165,12 +163,6 @@ int Run(int argc, char** argv) {
         return Usage();
       }
       options.async.default_deadline_ms = static_cast<uint64_t>(n);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!parse_count(arg.substr(10), 1, &n)) {
-        std::fprintf(stderr, "error: bad thread count in '%s'\n", argv[i]);
-        return Usage();
-      }
-      threads = static_cast<size_t>(n);
     } else if (arg.rfind("--slow-query-ms=", 0) == 0) {
       if (!parse_count(arg.substr(16), 0, &n)) {
         std::fprintf(stderr, "error: bad slow-query threshold in '%s'\n",
@@ -189,7 +181,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: --db=FILE (or --data-dir=DIR) is required\n");
     return Usage();
   }
-  options.async.service.intra_query_threads = threads;
 
   // Startup-only: the global logger carries every structured event from
   // here on (lifecycle, slow queries, protocol errors), all on stderr so
